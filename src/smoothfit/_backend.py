@@ -2,9 +2,8 @@
 
 Hot numeric loops live in :mod:`smoothfit.kernels` and are compiled with
 numba when available.  Setting ``SMOOTHFIT_NUMBA=0`` forces the pure-numpy
-interpretation of the same functions, which is what the benchmark harness
-uses to compare the two paths and what keeps the package importable when
-numba is missing.
+interpretation of the same functions; the same fallback keeps the package
+importable when numba is missing.
 """
 
 import os

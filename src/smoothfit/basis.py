@@ -13,9 +13,9 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import BSpline
 from scipy.linalg import eigh, solve_triangular
 
-from . import kernels
 from .errors import DomainError, SingularityError, SpecError
 
 logger = logging.getLogger(__name__)
@@ -126,9 +126,10 @@ def evaluate_bspline(knots, degree, x, clamp=False):
         logger.warning("clamped %d prediction points to the basis range [%g, %g]",
                        int(outside.sum()), lo, hi)
         x = np.clip(x, lo, hi)
-    out = np.zeros((x.shape[0], k))
-    kernels.bspline_eval(x, np.asarray(knots, dtype=float), degree, out)
-    return out
+    # the right boundary belongs to the last interval, so the basis stays
+    # a partition of unity on the closed range
+    return BSpline.design_matrix(x, np.asarray(knots, dtype=float),
+                                 degree).toarray()
 
 
 def difference_penalty(k, m):

@@ -13,11 +13,14 @@ Exit codes: 0 success, 1 numeric/convergence failure, 2 input error.
 import argparse
 import csv
 import json
+import logging
 import sys
+import zipfile
 
 import numpy as np
+import scipy.sparse as sp
 
-from . import kernels, sparsela
+from . import sparsela
 from .design import ModelSpec, PenalizedDesign, TermSpec, build_design, \
     _term_rows, _table_length, TermArtifact
 from .efs import EFSControl, FitState, fit_additive, fit_gam, fit_gsmm
@@ -30,6 +33,8 @@ from .uncertainty import caic, credible_intervals, sample_beta_conditional
 ARTIFACT_SCHEMA = "smoothfit-fit/1"
 NA_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 GSMM_FAMILIES = ("coxph", "gaussian_ls", "gamma_ls")
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +194,8 @@ def _save_sidecar(path, fit):
     payload = {"engine": np.array(fit.engine), "phi": np.array(fit.phi)}
     factor = fit._factor
     if isinstance(factor, sparsela.CholeskyFactor):
-        payload.update(Lp=factor.Lp, Li=factor.Li, Lx=factor.Lx,
+        L = factor.L
+        payload.update(Lp=L.indptr, Li=L.indices, Lx=L.data,
                        perm=factor.perm, kind=np.array("cholesky"))
         if factor.dscale is not None:
             payload["dscale"] = factor.dscale
@@ -210,8 +216,59 @@ def _save_sidecar(path, fit):
     np.savez(path, **payload)
 
 
+def _load_sidecar(path, n_coef):
+    """(factor, T, keep) from a sidecar written by :func:`_save_sidecar`.
+
+    Raises ValueError when the stored arrays do not fit together or do not
+    match the artifact's ``n_coef`` coefficients.
+    """
+    with np.load(path, allow_pickle=False) as data:
+        T = keep = None
+        if "T_row" in data:
+            T = sp.csc_array((data["T_val"], (data["T_row"], data["T_col"])),
+                             shape=tuple(data["T_shape"]))
+            if T.shape[0] != n_coef:
+                raise ValueError(f"transform has {T.shape[0]} rows for "
+                                 f"{n_coef} coefficients")
+        n_work = n_coef if T is None else T.shape[1]
+        if "keep" in data:
+            keep = data["keep"]
+            if keep.ndim != 1 or np.unique(keep).size != keep.size \
+                    or np.any((keep < 0) | (keep >= n_work)):
+                raise ValueError(f"kept columns do not index {n_work} "
+                                 f"coefficients")
+        n = n_work if keep is None else keep.size
+        kind = str(data["kind"])
+        perm = data["perm"] if "perm" in data else np.arange(n)
+        if not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ValueError(f"stored ordering is not a permutation of {n}")
+        if kind == "cholesky":
+            L = sp.csc_array((data["Lx"], data["Li"], data["Lp"]),
+                             shape=(n, n))
+            L.check_format(full_check=True)   # indices inside the matrix
+            dscale = data["dscale"] if "dscale" in data else None
+            if dscale is not None and dscale.shape != (n,):
+                raise ValueError(f"preconditioner does not have {n} entries")
+            return (sparsela.CholeskyFactor.from_lower(L, perm, dscale), T,
+                    keep)
+        if kind == "dense_r":
+            R = data["R"]
+            if R.shape != (n, n):
+                raise ValueError(f"R is {R.shape}, expected {(n, n)}")
+            kept = data["kept"] if "kept" in data else np.arange(n)
+            dropped = sorted(set(range(n)) - set(kept.tolist()))
+            return sparsela.QRFactor(R, perm, dropped, None), T, keep
+        raise ValueError(f"unknown factor kind {kind!r}")
+
+
 class RestoredFit:
-    """Just enough of a fit state to rebuild predictions with intervals."""
+    """Just enough of a fit state to rebuild predictions with intervals.
+
+    ``factor`` is the factor of the penalized Hessian rebuilt from the
+    sidecar, or None without a usable one: a missing sidecar is silent, an
+    unreadable or mismatched one is logged, and either way ``predict``
+    writes point predictions without intervals.
+    """
 
     def __init__(self, artifact, sidecar_path=None):
         self.artifact = artifact
@@ -220,84 +277,38 @@ class RestoredFit:
         self.phi = artifact["phi"]
         self.terms = _terms_from_payload(artifact["terms"])
         self.param_count = 1 + max(t.spec.parameter_index for t in self.terms)
-        self._solver = None
-        if sidecar_path is not None:
-            try:
-                self._load_sidecar(sidecar_path)
-            except OSError:
-                self._solver = None
-
-    def _load_sidecar(self, path):
-        data = np.load(path, allow_pickle=False)
-        kind = str(data["kind"])
-        self._T = None
-        self._keep = data["keep"] if "keep" in data else None
-        if "T_row" in data:
-            import scipy.sparse as sp
-            shape = tuple(data["T_shape"])
-            self._T = sp.csc_array((data["T_val"],
-                                    (data["T_row"], data["T_col"])),
-                                   shape=shape)
-        if kind == "cholesky":
-            Lp, Li, Lx = data["Lp"], data["Li"], data["Lx"]
-            perm = data["perm"]
-            dscale = data["dscale"] if "dscale" in data else None
-            n = perm.size
-
-            def solve(b):
-                x = b if dscale is None else b * dscale
-                x = x[perm].copy()
-                kernels.lower_solve(n, Lp, Li, Lx, x)
-                kernels.lower_tsolve(n, Lp, Li, Lx, x)
-                out = np.empty_like(x)
-                out[perm] = x
-                return out if dscale is None else out * dscale
-        else:
-            from scipy.linalg import solve_triangular
-            R = data["R"]
-            kept = data["kept"] if "kept" in data else None
-            perm = data["perm"] if "perm" in data else None
-
-            def solve(b):
-                bp = b if perm is None else b[perm]
-                if kept is not None:
-                    Rk = R[np.ix_(kept, kept)]
-                    y = solve_triangular(Rk, bp[kept], trans="T", lower=False)
-                    y = solve_triangular(Rk, y, lower=False)
-                    out = np.zeros_like(bp)
-                    out[kept] = y
-                else:
-                    y = solve_triangular(R, bp, trans="T", lower=False)
-                    out = solve_triangular(R, y, lower=False)
-                if perm is not None:
-                    res = np.empty_like(out)
-                    res[perm] = out
-                    return res
-                return out
-        self._solver = solve
+        self.factor = self._T = self._keep = None
+        if sidecar_path is None:
+            return
+        try:
+            self.factor, self._T, self._keep = _load_sidecar(
+                sidecar_path, self.beta.size)
+        except FileNotFoundError:
+            pass
+        except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,
+                SmoothfitError) as exc:
+            logger.warning("ignoring factor sidecar %s (%s): predictions "
+                           "carry no intervals", sidecar_path, exc)
 
     def covariance_scale(self):
         return self.phi if self.engine in ("am", "gam") else 1.0
 
     def solve_H(self, b):
-        if self._solver is None:
+        """H_p^{-1} b in original coordinates for a vector or a dense block
+        of columns, through the stored transform ``T`` and kept columns."""
+        if self.factor is None:
             raise NumericError("factor cache sidecar missing; cannot form "
                                "intervals")
         b = np.asarray(b, dtype=float)
-        if self._T is not None:
-            bw = np.asarray(self._T.T @ b)
-            if self._keep is not None and self._keep.size != bw.size:
-                bw = bw[self._keep]
-            xw = self._solver(bw)
-            if self._keep is not None and self._keep.size != self.beta.size:
-                full = np.zeros(self._T.shape[0])
-                full[self._keep] = xw
-                xw = full
-            return np.asarray(self._T @ xw)
-        return self._solver(b)
+        bw = b if self._T is None else np.asarray(self._T.T @ b)
+        if self._keep is None:
+            xw = self.factor.solve(bw)
+        else:
+            xw = np.zeros(bw.shape)
+            xw[self._keep] = self.factor.solve(bw[self._keep])
+        return xw if self._T is None else np.asarray(self._T @ xw)
 
     def predict_rows(self, data, clamp=True):
-        import scipy.sparse as sp
         n = _table_length(data)
         mats = [_term_rows(t, data, n, clamp=clamp) for t in self.terms]
         return sp.csc_array(sp.hstack(mats, format="csc"))
@@ -414,45 +425,31 @@ def cmd_predict(args):
                                       "poisson", "inverse_gaussian") \
             else get_link("identity")
         for m, sl in enumerate(slices):
-            eta = np.asarray(X[:, sl.start:sl.stop]
-                             @ restored.beta[sl.start:sl.stop])
+            eta = np.asarray(X[:, sl] @ restored.beta[sl])
             for i in range(n):
                 rows[i][f"eta_{m}"] = eta[i]
             if m == 0:
                 mu = link.inverse(eta)
-                se = _prediction_se(restored, X, sl)
-                from scipy.stats import norm
-                zq = norm.ppf(0.975)
                 for i in range(n):
                     rows[i]["mu"] = mu[i]
-                    if se is not None:
-                        rows[i]["eta_0_lo"] = eta[i] - zq * se[i]
-                        rows[i]["eta_0_hi"] = eta[i] + zq * se[i]
+                if restored.factor is not None:
+                    # the interval of eta_0 sees only its own coefficients
+                    X0 = X
+                    if len(slices) > 1:
+                        mask = np.zeros(X.shape[1])
+                        mask[sl] = 1.0
+                        X0 = X @ sp.diags_array(mask)
+                    _, lo, hi, _ = credible_intervals(restored, X0,
+                                                      level=0.95)
+                    for i in range(n):
+                        rows[i]["eta_0_lo"] = lo[i]
+                        rows[i]["eta_0_hi"] = hi[i]
         columns += [f"eta_{m}" for m in range(len(slices))] + ["mu"]
-        if restored._solver is not None:
+        if restored.factor is not None:
             columns += ["eta_0_lo", "eta_0_hi"]
     write_table(args.out, rows, columns)
     print(f"wrote {n} prediction rows to {args.out}")
     return 0
-
-
-def _prediction_se(restored, X, sl):
-    if restored._solver is None:
-        return None
-    import scipy.sparse as sp
-    n = X.shape[0]
-    var = np.zeros(n)
-    scale = restored.covariance_scale()
-    n_p = restored.beta.size
-    for start in range(0, n, 512):
-        stop = min(start + 512, n)
-        B = np.zeros((n_p, stop - start))
-        blk = np.asarray(X[start:stop, :].todense()).T
-        B[:blk.shape[0], :] = blk
-        sol = np.column_stack([restored.solve_H(B[:, j])
-                               for j in range(B.shape[1])])
-        var[start:stop] = scale * np.einsum("ij,ij->j", B, sol)
-    return np.sqrt(np.maximum(var, 0.0))
 
 
 def cmd_aic(args):

@@ -117,12 +117,10 @@ class FitState:
             np.asarray(self._transform @ v)
 
     def solve_H(self, b):
-        """(H + S_lambda [+ eps I])^{-1} b in original coordinates, unscaled."""
+        """(H + S_lambda [+ eps I])^{-1} b in original coordinates, unscaled;
+        ``b`` is a vector or a dense block of columns."""
         b = np.asarray(b, dtype=float)
-        if b.ndim == 1:
-            return self._from_work(self._factor.solve(self._to_work(b)))
-        return np.column_stack([self.solve_H(b[:, j])
-                                for j in range(b.shape[1])])
+        return self._from_work(self._factor.solve(self._to_work(b)))
 
     def half_solve_t(self, Z):
         """D P^T L^{-T} Z mapped to original coordinates (posterior sampler)."""

@@ -16,7 +16,8 @@ class DomainError(SmoothfitError):
 class IndefiniteError(SmoothfitError):
     """A Cholesky factorization hit a non-positive pivot.
 
-    ``pivot`` is the (permuted) index of the failing column.
+    ``pivot`` is the original (unpermuted) index of the first failing
+    column.
     """
 
     def __init__(self, pivot, message=None):

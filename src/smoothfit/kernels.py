@@ -4,11 +4,10 @@ Everything in this module operates on plain numpy arrays (CSC/CSR index
 triplets, dense work vectors) so that the same source compiles under numba
 ``njit`` and also runs as ordinary Python when ``SMOOTHFIT_NUMBA=0``.
 
-The sparse Cholesky routines follow the classic up-looking algorithm
-(elimination tree + row subtree traversal, cf. Davis, "Direct Methods for
-Sparse Linear Systems", 2006).  The row-wise QR uses Givens rotations so
-that small diagonal entries can be detected and the offending columns
-dropped, following Heath (1982).
+The row-wise QR uses Givens rotations so that small diagonal entries can
+be detected and the offending columns dropped, following Heath (1982).
+The sparse Cholesky factorization, its solves and B-spline evaluation run
+in scipy's compiled code instead (SuperLU, ``BSpline.design_matrix``).
 """
 
 import numpy as np
@@ -19,210 +18,8 @@ _opts = dict(cache=True)
 
 
 # ---------------------------------------------------------------------------
-# B-spline evaluation
+# Triangular inverse
 # ---------------------------------------------------------------------------
-
-@maybe_njit(**_opts)
-def bspline_eval(x, knots, degree, out):
-    """Fill ``out`` (len(x) x k) with B-spline basis values.
-
-    ``knots`` holds k + degree + 1 non-decreasing breakpoints; column j of
-    ``out`` is the degree-``degree`` B-spline supported on
-    ``knots[j:j+degree+2]``.  Evaluation uses the stable triangular scheme
-    of de Boor; points equal to the right boundary are folded into the last
-    interval so the basis stays a partition of unity on the closed range.
-    """
-    n = x.shape[0]
-    k = out.shape[1]
-    d = degree
-    left = np.zeros(d + 1)
-    right = np.zeros(d + 1)
-    vals = np.zeros(d + 1)
-    lo = knots[d]
-    hi = knots[k]
-    for idx in range(n):
-        xv = x[idx]
-        # locate span i with knots[i] <= xv < knots[i+1], clamped to the
-        # valid region [d, k-1]
-        if xv >= hi:
-            span = k - 1
-        else:
-            span = d
-            while span < k - 1 and xv >= knots[span + 1]:
-                span += 1
-        vals[0] = 1.0
-        for j in range(1, d + 1):
-            left[j] = xv - knots[span + 1 - j]
-            right[j] = knots[span + j] - xv
-            saved = 0.0
-            for r in range(j):
-                den = right[r + 1] + left[j - r]
-                if den != 0.0:
-                    temp = vals[r] / den
-                else:
-                    temp = 0.0
-                vals[r] = saved + right[r + 1] * temp
-                saved = left[j - r] * temp
-            vals[j] = saved
-        for j in range(d + 1):
-            col = span - d + j
-            if 0 <= col < k:
-                out[idx, col] = vals[j]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Sparse Cholesky (CSC, up-looking)
-# ---------------------------------------------------------------------------
-
-@maybe_njit(**_opts)
-def etree(n, Ap, Ai):
-    """Elimination tree of a symmetric CSC matrix (full pattern stored)."""
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    for k in range(n):
-        for p in range(Ap[k], Ap[k + 1]):
-            i = Ai[p]
-            while i != -1 and i < k:
-                inext = ancestor[i]
-                ancestor[i] = k
-                if inext == -1:
-                    parent[i] = k
-                i = inext
-    return parent
-
-
-@maybe_njit(**_opts)
-def _ereach(n, Ap, Ai, k, parent, mark, stack, out):
-    """Nonzero pattern of row k of L: reach of A(0:k,k) in the etree.
-
-    Returns ``top``; the pattern sits in ``out[top:n]`` in topological
-    order.  ``mark`` must persist between calls (k-stamped workspace).
-    """
-    top = n
-    mark[k] = k
-    for p in range(Ap[k], Ap[k + 1]):
-        i = Ai[p]
-        if i > k:
-            continue
-        length = 0
-        while mark[i] != k:
-            stack[length] = i
-            length += 1
-            mark[i] = k
-            i = parent[i]
-        while length > 0:
-            length -= 1
-            top -= 1
-            out[top] = stack[length]
-    return top
-
-
-@maybe_njit(**_opts)
-def chol_symbolic(n, Ap, Ai, parent):
-    """Column pointers of the Cholesky factor (diagonal included)."""
-    counts = np.ones(n, dtype=np.int64)
-    mark = np.full(n, -1, dtype=np.int64)
-    stack = np.zeros(n, dtype=np.int64)
-    out = np.zeros(n, dtype=np.int64)
-    for k in range(n):
-        top = _ereach(n, Ap, Ai, k, parent, mark, stack, out)
-        for t in range(top, n):
-            counts[out[t]] += 1
-    Lp = np.zeros(n + 1, dtype=np.int64)
-    for j in range(n):
-        Lp[j + 1] = Lp[j] + counts[j]
-    return Lp
-
-
-@maybe_njit(**_opts)
-def chol_numeric(n, Ap, Ai, Ax, parent, Lp, Li, Lx):
-    """Up-looking numeric factorization; returns -1 or the failing pivot.
-
-    Column j of L stores its diagonal entry first, remaining row indices
-    ascending.  ``Li``/``Lx`` must be sized ``Lp[n]``.
-    """
-    c = Lp[:n].copy()
-    x = np.zeros(n)
-    mark = np.full(n, -1, dtype=np.int64)
-    stack = np.zeros(n, dtype=np.int64)
-    out = np.zeros(n, dtype=np.int64)
-    for k in range(n):
-        top = _ereach(n, Ap, Ai, k, parent, mark, stack, out)
-        x[k] = 0.0
-        for p in range(Ap[k], Ap[k + 1]):
-            if Ai[p] <= k:
-                x[Ai[p]] = Ax[p]
-        d = x[k]
-        x[k] = 0.0
-        for t in range(top, n):
-            i = out[t]
-            lki = x[i] / Lx[Lp[i]]
-            x[i] = 0.0
-            for p in range(Lp[i] + 1, c[i]):
-                x[Li[p]] -= Lx[p] * lki
-            d -= lki * lki
-            p = c[i]
-            c[i] += 1
-            Li[p] = k
-            Lx[p] = lki
-        if d <= 0.0 or not np.isfinite(d):
-            return k
-        p = c[k]
-        c[k] += 1
-        Li[p] = k
-        Lx[p] = np.sqrt(d)
-    return -1
-
-
-@maybe_njit(**_opts)
-def lower_solve(n, Lp, Li, Lx, b):
-    """In-place forward solve L y = b for lower-triangular CSC L."""
-    for j in range(n):
-        bj = b[j] / Lx[Lp[j]]
-        b[j] = bj
-        if bj != 0.0:
-            for p in range(Lp[j] + 1, Lp[j + 1]):
-                b[Li[p]] -= Lx[p] * bj
-    return b
-
-
-@maybe_njit(**_opts)
-def lower_tsolve(n, Lp, Li, Lx, b):
-    """In-place backward solve L^T y = b."""
-    for j in range(n - 1, -1, -1):
-        s = b[j]
-        for p in range(Lp[j] + 1, Lp[j + 1]):
-            s -= Lx[p] * b[Li[p]]
-        b[j] = s / Lx[Lp[j]]
-    return b
-
-
-@maybe_njit(**_opts)
-def lower_solve_many(n, Lp, Li, Lx, B):
-    """Forward solve with a dense block of right-hand sides (columns)."""
-    m = B.shape[1]
-    for col in range(m):
-        for j in range(n):
-            bj = B[j, col] / Lx[Lp[j]]
-            B[j, col] = bj
-            if bj != 0.0:
-                for p in range(Lp[j] + 1, Lp[j + 1]):
-                    B[Li[p], col] -= Lx[p] * bj
-    return B
-
-
-@maybe_njit(**_opts)
-def lower_tsolve_many(n, Lp, Li, Lx, B):
-    m = B.shape[1]
-    for col in range(m):
-        for j in range(n - 1, -1, -1):
-            s = B[j, col]
-            for p in range(Lp[j] + 1, Lp[j + 1]):
-                s -= Lx[p] * B[Li[p], col]
-            B[j, col] = s / Lx[Lp[j]]
-    return B
-
 
 @maybe_njit(**_opts)
 def invert_lower_csc(n, Lp, Li, Lx):
@@ -273,26 +70,6 @@ def invert_lower_csc(n, Lp, Li, Lx):
                 Ix[q] = work[i]
                 q += 1
     return Ip, Ii, Ix
-
-
-@maybe_njit(**_opts)
-def sq_fwd_solve_cols(n, Lp, Li, Lx, B):
-    """Sum of squares of L^{-1} B per dense column; used for trace terms."""
-    m = B.shape[1]
-    total = 0.0
-    work = np.zeros(n)
-    for col in range(m):
-        for i in range(n):
-            work[i] = B[i, col]
-        for j in range(n):
-            bj = work[j] / Lx[Lp[j]]
-            work[j] = bj
-            if bj != 0.0:
-                for p in range(Lp[j] + 1, Lp[j + 1]):
-                    work[Li[p]] -= Lx[p] * bj
-        for i in range(n):
-            total += work[i] * work[i]
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Sparse linear-algebra layer: orderings, factorizations, trace kernels.
 
-Matrices are scipy CSC arrays; the numeric loops live in
-:mod:`smoothfit.kernels`.  The Cholesky route pivots for sparsity only, so
-the permutation is computed once per sparsity pattern in a pre-processing
-step and cached across refactorizations with new values (the pattern of a
-penalized normal matrix does not change with the regularization weights).
-The QR route works on the stacked, penalty-augmented system and detects
-dependent columns from small diagonal entries of R (Heath, 1982).
+Matrices are scipy CSC arrays.  The Cholesky route pivots for sparsity
+only, so the permutation is computed once per sparsity pattern in a
+pre-processing step and cached across refactorizations with new values
+(the pattern of a penalized normal matrix does not change with the
+regularization weights); the numeric factorization and its solves run in
+SuperLU.  The QR route works on the stacked, penalty-augmented system and
+detects dependent columns from small diagonal entries of R (Heath, 1982),
+with the row rotations in :mod:`smoothfit.kernels`.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from . import kernels
 from .errors import IndefiniteError, SingularityError, SpecError
@@ -73,7 +74,12 @@ def fill_reducing_permutation(A):
 
 
 class SymbolicChol:
-    """Reusable symbolic factorization of a fixed sparsity pattern."""
+    """Fill-reducing ordering of a fixed sparsity pattern, kept across
+    refactorizations with new values.
+
+    The pattern's entries are mapped once onto the permuted matrix
+    P A P^T, so each refactorization only gathers the new values.
+    """
 
     def __init__(self, pattern, perm):
         pattern = as_csc(pattern)
@@ -84,14 +90,12 @@ class SymbolicChol:
         tagged.data = np.arange(tagged.nnz, dtype=float)
         permuted = as_csc(tagged[self.perm][:, self.perm])
         self.value_map = permuted.data.astype(np.int64)
-        self.Pp = permuted.indptr.astype(np.int64)
-        self.Pi = permuted.indices.astype(np.int64)
+        self.Pp = permuted.indptr
+        self.Pi = permuted.indices
         # row/col of each permuted entry, for diagonal preconditioning
         self.entry_row = self.Pi
         self.entry_col = np.repeat(np.arange(n, dtype=np.int64),
                                    np.diff(self.Pp))
-        self.parent = kernels.etree(n, self.Pp, self.Pi)
-        self.Lp = kernels.chol_symbolic(n, self.Pp, self.Pi, self.parent)
 
     def factor(self, values, dscale=None):
         """Numeric factorization of the pattern filled with ``values``.
@@ -100,118 +104,135 @@ class SymbolicChol:
         pattern.  ``dscale`` applies the diagonal preconditioner
         D A D before factorizing; solves transparently undo it.
         """
-        n = self.n
         Ax = values[self.value_map]
         if dscale is not None:
             dp = dscale[self.perm]
             Ax = Ax * dp[self.entry_row] * dp[self.entry_col]
-        Li = np.zeros(self.Lp[n], dtype=np.int64)
-        Lx = np.zeros(self.Lp[n])
-        fail = kernels.chol_numeric(n, self.Pp, self.Pi, Ax, self.parent,
-                                    self.Lp, Li, Lx)
-        if fail >= 0:
-            raise IndefiniteError(self.perm[fail])
-        return CholeskyFactor(self, Li, Lx, dscale=dscale)
+        M = sp.csc_array((Ax, self.Pi, self.Pp), shape=(self.n, self.n))
+        return CholeskyFactor(M, self.perm, dscale=dscale)
+
+
+def _rows_scaled(b, d):
+    """Rows of a vector or dense block ``b`` multiplied by ``d``."""
+    return b * (d if b.ndim == 1 else d[:, None])
+
+
+def _superlu_pivots(M):
+    """SuperLU of M in its given order with row pivoting off.
+
+    Returns ``(lu, u, k)``: M = L_u diag(u) L_u^T with L_u unit lower
+    triangular, and ``k`` the first pivot that is not positive and finite
+    (-1 when there is none).  A row interchange means SuperLU met a zero
+    pivot, so it counts as a failure there.  ``k`` is None when SuperLU
+    found M exactly singular, which it reports without the column.
+    """
+    try:
+        lu = splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    except RuntimeError:
+        return None, None, None
+    u = lu.U.diagonal()
+    bad = ~((u > 0.0) & (u < np.inf)) | (lu.perm_r != np.arange(u.size))
+    return lu, u, int(np.argmax(bad)) if bad.any() else -1
+
+
+def _first_failing_pivot(M):
+    """First failing pivot of an exactly singular M, by bisection over its
+    leading blocks, whose pivots are the first pivots of M."""
+    lo, hi = 0, M.shape[0]   # the leading lo-block factors, hi-block fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _superlu_pivots(M[:mid, :mid])[2] == -1:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class CholeskyFactor:
     """Sparsity-pivoted Cholesky of a symmetric positive definite matrix.
 
-    With preconditioner D (identity by default) the represented identity is
-    ``D A D = P^T L L^T P``, i.e. ``A^{-1} = D P^T L^{-T} L^{-1} P D``.
+    ``M = P D A D P^T`` is A in the fill-reducing order, scaled by the
+    diagonal preconditioner D (identity by default).  SuperLU factors M in
+    that order without row pivoting, so ``M = L_u diag(u) L_u^T`` and the
+    Cholesky factor is ``L = L_u diag(u)^{1/2}``; hence
+    ``A^{-1} = D P^T L^{-T} L^{-1} P D``.  Raises :class:`IndefiniteError`
+    with the original index of the first pivot that is not positive.
     """
 
-    def __init__(self, symbolic, Li, Lx, dscale=None):
-        self.symbolic = symbolic
-        self.n = symbolic.n
-        self.perm = symbolic.perm
-        self.Lp = symbolic.Lp
-        self.Li = Li
-        self.Lx = Lx
+    def __init__(self, M, perm, dscale=None):
+        self.n = M.shape[0]
+        self.perm = perm
         self.dscale = dscale
-        diag = Lx[self.Lp[:-1]]
-        self.logdet = 2.0 * float(np.sum(np.log(diag)))
+        self._M = M
+        self._lu, self._u, k = _superlu_pivots(M)
+        if k is None:
+            k = _first_failing_pivot(M)
+        if k >= 0:
+            raise IndefiniteError(perm[k])
+        self.logdet = float(np.sum(np.log(self._u)))
         if dscale is not None:
             self.logdet -= 2.0 * float(np.sum(np.log(dscale)))
+        self._Lu = None
+        self._L = None
+
+    @classmethod
+    def from_lower(cls, L, perm, dscale=None):
+        """The factor whose Cholesky factor is the stored lower-triangular
+        ``L`` (CSC), as written by :meth:`L`."""
+        L = sp.csc_array(L)
+        return cls(as_csc(L @ L.T), np.asarray(perm, dtype=np.int64),
+                   dscale=dscale)
+
+    def _unit_lower(self):
+        if self._Lu is None:
+            self._Lu = as_csc(self._lu.L)
+        return self._Lu
 
     @property
     def L(self):
-        n = self.n
-        return sp.csc_array((self.Lx, self.Li, self.Lp), shape=(n, n))
+        """The Cholesky factor of M in CSC, built on first use."""
+        if self._L is None:
+            Lu = self._unit_lower()
+            cols = np.repeat(np.arange(self.n), np.diff(Lu.indptr))
+            self._L = sp.csc_array(
+                (Lu.data * np.sqrt(self._u)[cols], Lu.indices, Lu.indptr),
+                shape=Lu.shape)
+        return self._L
 
     def nnz_L(self):
-        return int(self.Lp[self.n])
+        """Stored entries of L, diagonal included."""
+        return int(self.L.nnz)
 
     def _pre(self, b):
-        x = b if self.dscale is None else b * self.dscale
+        x = b if self.dscale is None else _rows_scaled(b, self.dscale)
         return x[self.perm]
 
     def _post(self, y):
         out = np.empty_like(y)
         out[self.perm] = y
         if self.dscale is not None:
-            out = out * self.dscale
+            out = _rows_scaled(out, self.dscale)
         return out
 
     def solve(self, b):
-        """x with A x = b."""
+        """x with A x = b, for a vector or a dense block of columns."""
         b = np.asarray(b, dtype=float)
-        if b.ndim == 1:
-            y = self._pre(b).copy()
-            kernels.lower_solve(self.n, self.Lp, self.Li, self.Lx, y)
-            kernels.lower_tsolve(self.n, self.Lp, self.Li, self.Lx, y)
-            return self._post(y)
-        Y = self._pre(b).copy()
-        kernels.lower_solve_many(self.n, self.Lp, self.Li, self.Lx, Y)
-        kernels.lower_tsolve_many(self.n, self.Lp, self.Li, self.Lx, Y)
-        return self._post(Y)
+        return self._post(self._lu.solve(self._pre(b)))
 
     def half_solve(self, B):
         """L^{-1} P D B for a dense block B; rows arrive permuted."""
-        Y = self._pre(np.asarray(B, dtype=float)).copy()
-        if Y.ndim == 1:
-            kernels.lower_solve(self.n, self.Lp, self.Li, self.Lx, Y)
-        else:
-            kernels.lower_solve_many(self.n, self.Lp, self.Li, self.Lx, Y)
-        return Y
+        Y = spsolve_triangular(self._unit_lower(),
+                               self._pre(np.asarray(B, dtype=float)),
+                               lower=True, unit_diagonal=True,
+                               overwrite_b=True)
+        return _rows_scaled(Y, 1.0 / np.sqrt(self._u))
 
     def half_tsolve_scatter(self, Y):
         """D P^T L^{-T} Y: adjoint of :meth:`half_solve`."""
-        Y = np.array(Y, dtype=float)
-        if Y.ndim == 1:
-            kernels.lower_tsolve(self.n, self.Lp, self.Li, self.Lx, Y)
-        else:
-            kernels.lower_tsolve_many(self.n, self.Lp, self.Li, self.Lx, Y)
-        return self._post(Y)
-
-    def matvec(self, x):
-        """A x reconstructed from the factor."""
-        v = self._pre(np.asarray(x, dtype=float)).copy()
-        L = self.L
-        v = L @ (L.T @ v)
-        return self._post_inv_scale(v)
-
-    def _post_inv_scale(self, y):
-        out = np.empty_like(y)
-        out[self.perm] = y
-        if self.dscale is not None:
-            out = out / self.dscale
-        return out
-
-    def _pre_unscaled(self, b):
-        x = b if self.dscale is None else b / self.dscale
-        return x[self.perm]
-
-    def matvec_original(self, x):
-        # A = D^{-1} P^T L L^T P D^{-1}
-        v = self._pre_unscaled(np.asarray(x, dtype=float))
-        L = self.L
-        v = L @ (L.T @ v)
-        out = np.empty_like(v)
-        out[self.perm] = v
-        if self.dscale is not None:
-            out = out / self.dscale
-        return out
+        Y = _rows_scaled(np.asarray(Y, dtype=float), 1.0 / np.sqrt(self._u))
+        return self._post(spsolve_triangular(self._unit_lower().T, Y,
+                                             lower=False, unit_diagonal=True,
+                                             overwrite_b=True))
 
 
 def pivoted_cholesky(A, perm=None, dscale=None):
@@ -229,22 +250,15 @@ def pivoted_cholesky(A, perm=None, dscale=None):
 
 
 def trace_inv_form(factor, D_r):
-    """tr(A^{-1} S^r) where S^r = D_r D_r^T, via squared forward solves.
+    """tr(A^{-1} S^r) where S^r = D_r D_r^T, as sum(B * A^{-1} B).
 
-    Only the nonzero columns of ``D_r`` are solved; for an embedded penalty
-    root that is its rank, not the matrix dimension.
+    B holds the nonzero columns of ``D_r``, solved as one block; for an
+    embedded penalty root that is its rank, not the matrix dimension.
     """
     B = _dense_cols(D_r)
     if B.shape[1] == 0:
         return 0.0
-    if not isinstance(factor, CholeskyFactor):
-        Y = factor.half_solve(B)
-        return float(np.sum(Y * Y))
-    if factor.dscale is not None:
-        B = B * factor.dscale[:, None]
-    B = B[factor.perm, :]
-    return float(kernels.sq_fwd_solve_cols(factor.n, factor.Lp, factor.Li,
-                                           factor.Lx, np.ascontiguousarray(B)))
+    return float(np.sum(B * factor.solve(B)))
 
 
 def trace_inv_pair(factor, D_j, D_l):
@@ -423,13 +437,13 @@ def condition_estimate(factor, iters=15, seed=0):
     n = factor.n
     rng = np.random.default_rng(seed)
     if isinstance(factor, CholeskyFactor):
-        L = factor.L
+        M = factor._M
         perm = factor.perm
 
         def amul(x):
             v = x if factor.dscale is None else x / factor.dscale
             v = v[perm]
-            v = L @ (L.T @ v)
+            v = M @ v
             out = np.empty_like(v)
             out[perm] = v
             if factor.dscale is not None:

@@ -413,8 +413,11 @@ def sample_beta_conditional(fit, n, seed=0):
 
 
 def credible_intervals(fit, X_pred, level=0.95, block=512):
-    """Pointwise intervals center +- z * sqrt(diag(X V X^T)), block-wise.
+    """Pointwise intervals center +- z * sqrt(diag(X V X^T)), one blocked
+    solve per ``block`` rows.
 
+    ``fit`` is a fit state or a restored artifact: it needs ``beta``,
+    ``engine``, ``covariance_scale()`` and a ``solve_H`` that takes a block.
     For quasi-Newton fits the posterior covariance is itself approximate,
     so these intervals are indicative rather than calibrated.
     """
@@ -426,9 +429,7 @@ def credible_intervals(fit, X_pred, level=0.95, block=512):
     for start in range(0, n, block):
         stop = min(start + block, n)
         B = np.asarray(X_pred[start:stop, :].todense()).T
-        V_B = np.column_stack([fit.solve_H(B[:, j])
-                               for j in range(B.shape[1])])
-        var[start:stop] = scale * np.einsum("ij,ij->j", B, V_B)
+        var[start:stop] = scale * np.einsum("ij,ij->j", B, fit.solve_H(B))
     half = norm.ppf(0.5 + level / 2.0) * np.sqrt(np.maximum(var, 0.0))
     flags = {"approximate": fit.engine == "lqefs"}
     return center, center - half, center + half, flags

@@ -30,7 +30,52 @@ def coxdeboor(knots, degree, j, x):
     return out
 
 
+def deboor_rows(x, knots, degree, k):
+    """Loop reference: de Boor's triangular scheme, point by point.
+
+    The right boundary is folded into the last interval.  This is the
+    evaluator the package used before it moved to
+    ``scipy.interpolate.BSpline.design_matrix``.
+    """
+    d = degree
+    out = np.zeros((len(x), k))
+    lo, hi = knots[d], knots[k]
+    for idx, xv in enumerate(x):
+        if xv >= hi:
+            span = k - 1
+        else:
+            span = d
+            while span < k - 1 and xv >= knots[span + 1]:
+                span += 1
+        vals = [1.0] + [0.0] * d
+        left = [0.0] * (d + 1)
+        right = [0.0] * (d + 1)
+        for j in range(1, d + 1):
+            left[j] = xv - knots[span + 1 - j]
+            right[j] = knots[span + j] - xv
+            saved = 0.0
+            for r in range(j):
+                temp = vals[r] / (right[r + 1] + left[j - r])
+                vals[r] = saved + right[r + 1] * temp
+                saved = left[j - r] * temp
+            vals[j] = saved
+        out[idx, span - d:span + 1] = vals
+    assert lo <= x.min() and x.max() <= hi
+    return out
+
+
 class TestBsplineBasis:
+    @pytest.mark.parametrize("degree,k", [(0, 5), (1, 7), (2, 12), (3, 4),
+                                          (3, 10), (3, 20), (4, 9)])
+    def test_matches_loop_reference(self, degree, k):
+        # summation order differs from the loop, so allow a few ulp
+        rng = np.random.default_rng(10 * degree + k)
+        x = np.concatenate([[-1.3, 2.7], rng.uniform(-1.3, 2.7, 20_000)])
+        b = basis.bspline_basis(x, k=k, degree=degree)
+        ref = deboor_rows(x, b.knots, degree, k)
+        np.testing.assert_allclose(b.values, ref, rtol=0,
+                                   atol=4 * np.finfo(float).eps)
+
     def test_degree0_indicator(self):
         b = basis.bspline_basis(np.array([0.25, 1.0, 0.0]), k=2, degree=0)
         np.testing.assert_allclose(b.values,

@@ -168,6 +168,60 @@ class TestPredict:
         assert "clamped" in caplog.text
 
 
+class TestSidecar:
+    """A sidecar that cannot serve degrades to point predictions."""
+
+    def _fit(self, workspace, name="m.json", spec_index=2):
+        tmp = workspace[0]
+        rc = main(["fit", "--data", str(workspace[1]),
+                   "--spec", str(workspace[spec_index]),
+                   "--engine", "am", "--out", str(tmp / name)])
+        assert rc == 0
+        return tmp / name
+
+    def _predict_header(self, workspace, artifact):
+        out = workspace[0] / "pred.csv"
+        rc = main(["predict", "--artifact", str(artifact),
+                   "--data", str(workspace[1]), "--out", str(out)])
+        assert rc == 0
+        with open(out) as fh:
+            return fh.readline().strip().split(",")
+
+    def _check_degraded(self, workspace, artifact, caplog):
+        with caplog.at_level("WARNING"):
+            header = self._predict_header(workspace, artifact)
+        assert "mu" in header and "eta_0_lo" not in header
+        assert "sidecar" in caplog.text
+
+    def test_missing_sidecar_is_silent(self, workspace, caplog):
+        art = self._fit(workspace)
+        (workspace[0] / "m.json.cache.npz").unlink()
+        with caplog.at_level("WARNING"):
+            header = self._predict_header(workspace, art)
+        assert "eta_0_lo" not in header
+        assert "sidecar" not in caplog.text
+
+    def test_garbage_sidecar(self, workspace, caplog):
+        art = self._fit(workspace)
+        (workspace[0] / "m.json.cache.npz").write_bytes(b"not an npz file")
+        self._check_degraded(workspace, art, caplog)
+
+    def test_sidecar_missing_key(self, workspace, caplog):
+        art = self._fit(workspace)
+        path = workspace[0] / "m.json.cache.npz"
+        with np.load(path) as data:
+            kept = {k: data[k] for k in data.files if k != "Lp"}
+        np.savez(path, **kept)
+        self._check_degraded(workspace, art, caplog)
+
+    def test_sidecar_of_another_model(self, workspace, caplog):
+        art = self._fit(workspace)
+        self._fit(workspace, name="small.json", spec_index=3)
+        (workspace[0] / "small.json.cache.npz").replace(
+            workspace[0] / "m.json.cache.npz")
+        self._check_degraded(workspace, art, caplog)
+
+
 class TestAic:
     def test_identical_artifacts_zero_difference(self, workspace):
         tmp, data, spec, *_ = workspace
@@ -240,7 +294,8 @@ class TestSampleAndSimulate:
 
 
 class TestGsmmCli:
-    def test_coxph_fit_and_predict(self, tmp_path):
+    @pytest.fixture
+    def cox_artifact(self, tmp_path):
         rng = np.random.default_rng(1)
         n = 120
         x = rng.uniform(-1, 1, n)
@@ -258,11 +313,71 @@ class TestGsmmCli:
                    "--engine", "gsmm", "--family", "coxph",
                    "--out", str(tmp_path / "m.json")])
         assert rc == 0
-        rc = main(["predict", "--artifact", str(tmp_path / "m.json"),
+        return tmp_path / "m.json", data
+
+    def test_coxph_fit_and_predict(self, cox_artifact, tmp_path):
+        art, data = cox_artifact
+        rc = main(["predict", "--artifact", str(art),
                    "--data", str(data), "--out", str(tmp_path / "p.csv")])
         assert rc == 0
         p = read_table(tmp_path / "p.csv")
         assert np.all(np.isfinite(p["eta_0"]))
+        assert np.all(p["eta_0_lo"] < p["eta_0_hi"])
+
+    def test_coxph_term_edfs_sum_to_edf(self, cox_artifact):
+        stored = json.loads(cox_artifact[0].read_text())
+        assert abs(sum(stored["term_edf"].values()) - stored["edf"]) \
+            <= 1e-8 * stored["edf"]
+
+    def test_coxph_sample_and_corrected_aic(self, cox_artifact, tmp_path):
+        art, data = cox_artifact
+        rc = main(["sample", "--artifact", str(art), "--data", str(data),
+                   "--n", "20", "--out", str(tmp_path / "draws.csv")])
+        assert rc == 0
+        rc = main(["aic", str(art), "--data", str(data),
+                   "--aic-variant", "pql_corrected",
+                   "--out", str(tmp_path / "cmp.csv")])
+        assert rc == 0
+        t = read_table(tmp_path / "cmp.csv")
+        assert np.isfinite(t["caic_pql_corrected"][0])
+
+
+class TestLocationScaleCli:
+    def test_location_interval_ignores_scale_columns(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 300
+        x = rng.uniform(-1, 1, n)
+        y = np.sin(2 * x) + rng.normal(0, np.exp(0.5 * x - 1.0))
+        data = tmp_path / "ls.csv"
+        write_csv(data, {"y": [float(v) for v in y],
+                         "x": [float(v) for v in x]})
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"response": "y", "terms": [
+            {"kind": "intercept"},
+            {"kind": "smooth", "covariates": ["x"], "k": 8},
+            {"kind": "intercept", "parameter_index": 1},
+            {"kind": "linear", "covariates": ["x"], "parameter_index": 1}]}))
+        art = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data), "--spec", str(spec),
+                     "--engine", "gsmm", "--family", "gaussian_ls",
+                     "--out", str(art)]) == 0
+        assert main(["predict", "--artifact", str(art), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")]) == 0
+        p = read_table(tmp_path / "p.csv")
+        from scipy.stats import norm
+        from smoothfit.cli import RestoredFit
+        restored = RestoredFit(json.loads(art.read_text()),
+                               sidecar_path=str(art) + ".cache.npz")
+        X = restored.predict_rows(read_table(data)).toarray()
+        sl = restored.param_slices()[0]
+        X0 = np.zeros_like(X)
+        X0[:, sl] = X[:, sl]
+        var0 = np.einsum("ij,ji->i", X0, restored.solve_H(X0.T))
+        var_all = np.einsum("ij,ji->i", X, restored.solve_H(X.T))
+        assert not np.allclose(var0, var_all, rtol=1e-3)
+        half = 0.5 * (p["eta_0_hi"] - p["eta_0_lo"])
+        np.testing.assert_allclose(half, norm.ppf(0.975) * np.sqrt(var0),
+                                   rtol=1e-8)
 
 
 class TestNumpyFallbackBackend:

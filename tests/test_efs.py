@@ -587,6 +587,17 @@ class TestFitGsmm:
         best = rho_grid[int(np.argmax(vals))]
         assert abs(best - fit.rho[0]) <= 0.3
 
+    def test_coxph_term_edfs_sum_to_edf(self):
+        # the per-term EDFs come from a block solve through the diagonally
+        # preconditioned factor, which must scale rows, not columns
+        rng = np.random.default_rng(25)
+        data, eta, t = gen_hazard(rng, 300, k=1)
+        d = build_design(ModelSpec([TermSpec("smooth", ["x"], k=10)]), data)
+        fit = efs.fit_gsmm(d, CoxphFamily(t, np.ones(300)))
+        assert fit.eps_H == 0.0
+        assert fit._factor.dscale is not None
+        assert abs(sum(fit.term_edf.values()) - fit.edf) <= 1e-8 * fit.edf
+
     def test_gamm_phi_underestimated_by_penalized_ml(self):
         # the location-scale route picks phi by penalized likelihood, which
         # is biased low next to the REML estimate of the working engine

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothfit import sparsela as sla
 from smoothfit.errors import IndefiniteError, SingularityError, SpecError
@@ -33,9 +35,9 @@ class TestFillReducingPermutation:
         # the dense node must drift to the tail of the ordering
         assert int(np.flatnonzero(p == 0)[0]) >= n - 2
         f = sla.pivoted_cholesky(A, perm=p)
-        unperm = sla.SymbolicChol(A, np.arange(n))
-        assert f.nnz_L() == 2 * n - 1            # O(n) with reordering
-        assert unperm.Lp[-1] == n * (n + 1) // 2  # O(n^2) without
+        unperm = sla.pivoted_cholesky(A, perm=np.arange(n))
+        assert f.nnz_L() == 2 * n - 1               # O(n) with reordering
+        assert unperm.nnz_L() == n * (n + 1) // 2   # O(n^2) without
 
     def test_block_diagonal_no_cross_fill(self):
         rng = np.random.default_rng(0)
@@ -108,6 +110,127 @@ class TestPivotedCholesky:
         np.testing.assert_allclose(np.asarray(A.todense()) @ f.solve(x), x,
                                    rtol=1e-8, atol=1e-8)
         assert abs(f.logdet - np.linalg.slogdet(A.todense())[1]) < 1e-8
+
+
+def _spd_case(seed, n, density):
+    """Random sparse SPD matrix, a random ordering and a preconditioner."""
+    rng = np.random.default_rng(seed)
+    A = random_spd(rng, n, density=density, shift=1.0)
+    perm = rng.permutation(n)
+    dscale = 10.0 ** rng.uniform(-2, 2, n)
+    return rng, A, np.asarray(A.todense()), perm, dscale
+
+
+spd_cases = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 30),
+                      st.floats(0.02, 0.5))
+
+
+class TestCholeskyProperties:
+    """The SuperLU-backed factor against dense numpy."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spd_cases, st.booleans(), st.integers(1, 5))
+    def test_solve_vector_and_block(self, case, scaled, m):
+        rng, A, Ad, perm, dscale = _spd_case(*case)
+        f = sla.pivoted_cholesky(A, perm=perm,
+                                 dscale=dscale if scaled else None)
+        B = rng.standard_normal((A.shape[0], m))
+        ref = np.linalg.solve(Ad, B)
+        tol = 1e-9 * np.abs(ref).max()
+        np.testing.assert_allclose(f.solve(B), ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(f.solve(B[:, 0]), ref[:, 0], rtol=0,
+                                   atol=tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spd_cases, st.booleans())
+    def test_logdet(self, case, scaled):
+        _, A, Ad, perm, dscale = _spd_case(*case)
+        f = sla.pivoted_cholesky(A, perm=perm,
+                                 dscale=dscale if scaled else None)
+        ref = np.linalg.slogdet(Ad)[1]
+        assert abs(f.logdet - ref) <= 1e-10 * max(abs(ref), 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spd_cases, st.booleans(), st.integers(1, 4), st.integers(1, 4))
+    def test_traces(self, case, scaled, mj, ml):
+        rng, A, Ad, perm, dscale = _spd_case(*case)
+        f = sla.pivoted_cholesky(A, perm=perm,
+                                 dscale=dscale if scaled else None)
+        n = A.shape[0]
+        Dj = rng.standard_normal((n, mj))
+        Dl = sp.csc_array(rng.standard_normal((n, ml)))
+        Ainv = np.linalg.inv(Ad)
+        Sj, Sl = Dj @ Dj.T, (Dl @ Dl.T).toarray()
+        ref = np.trace(Ainv @ Sj)
+        assert abs(sla.trace_inv_form(f, Dj) - ref) <= 1e-9 * ref
+        ref = np.trace(Ainv @ Sj @ Ainv @ Sl)
+        assert abs(sla.trace_inv_pair(f, Dj, Dl) - ref) <= 1e-9 * ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(spd_cases, st.booleans(), st.integers(1, 4))
+    def test_half_solves_are_adjoint(self, case, scaled, m):
+        rng, A, Ad, perm, dscale = _spd_case(*case)
+        f = sla.pivoted_cholesky(A, perm=perm,
+                                 dscale=dscale if scaled else None)
+        n = A.shape[0]
+        B = rng.standard_normal((n, m))
+        Z = rng.standard_normal((n, m))
+        Y = f.half_solve(B)
+        lhs = float(np.sum(Z * Y))
+        rhs = float(np.sum(f.half_tsolve_scatter(Z) * B))
+        assert abs(lhs - rhs) <= 1e-9 * (np.abs(Z).sum() * np.abs(Y).max())
+        ref = B.T @ np.linalg.solve(Ad, B)
+        np.testing.assert_allclose(Y.T @ Y, ref, rtol=0,
+                                   atol=1e-9 * np.abs(ref).max())
+        # 1-D right-hand sides take the same route
+        np.testing.assert_allclose(f.half_solve(B[:, 0]), Y[:, 0],
+                                   rtol=0, atol=1e-12 * np.abs(Y).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(spd_cases, st.data())
+    def test_negative_pivot_reported_at_original_index(self, case, data):
+        _, A, Ad, perm, _ = _spd_case(*case)
+        n = A.shape[0]
+        j = data.draw(st.integers(0, n - 1))
+        # the pivots ahead of j do not see A[j, j]; the one at j is at most
+        # A[j, j] before the shift, so it turns negative
+        Ad = Ad.copy()
+        Ad[j, j] -= Ad[j, j] + 1.0
+        with pytest.raises(IndefiniteError) as err:
+            sla.pivoted_cholesky(sp.csc_array(Ad), perm=perm)
+        assert err.value.pivot == j
+
+    @settings(max_examples=40, deadline=None)
+    @given(spd_cases, st.data())
+    def test_zero_pivot_reported_at_original_index(self, case, data):
+        _, A, Ad, perm, _ = _spd_case(*case)
+        n = A.shape[0]
+        j = data.draw(st.integers(0, n - 1))
+        # an isolated zero node: its pivot is exactly zero in any ordering
+        Ad = Ad.copy()
+        Ad[j, :] = 0.0
+        Ad[:, j] = 0.0
+        with pytest.raises(IndefiniteError) as err:
+            sla.pivoted_cholesky(sp.csc_array(Ad), perm=perm)
+        assert err.value.pivot == j
+
+    def test_zero_pivot_with_entries_below(self):
+        # the Schur complement pivot of column 1 is exactly 1 - 1 = 0 while
+        # column 1 still has an entry below it
+        A = sp.csc_array(np.array([[1.0, 1.0, 0.0],
+                                   [1.0, 1.0, 1.0],
+                                   [0.0, 1.0, 3.0]]))
+        with pytest.raises(IndefiniteError) as err:
+            sla.pivoted_cholesky(A, perm=np.arange(3))
+        assert err.value.pivot == 1
+
+    def test_stored_lower_rebuilds_the_factor(self):
+        rng, A, Ad, perm, dscale = _spd_case(17, 25, 0.2)
+        f = sla.pivoted_cholesky(A, perm=perm, dscale=dscale)
+        g = sla.CholeskyFactor.from_lower(f.L.copy(), f.perm, dscale)
+        B = rng.standard_normal((25, 3))
+        np.testing.assert_allclose(g.solve(B), f.solve(B), rtol=1e-10)
+        assert g.nnz_L() == f.nnz_L()
 
 
 class TestTraces:
