@@ -13,7 +13,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln, polygamma, psi
 
-from . import kernels
 from .errors import DomainError, SpecError
 
 #: clamping bounds for working means (standard IRLS guard)
@@ -451,7 +450,10 @@ class SurvivalData:
     ``unique_times`` are the distinct times in decreasing order; ``r_l``
     counts events per unique time (the Breslow tie multiplier).  The risk
     set of the l-th unique time is the prefix of observations up to and
-    including its tied block.
+    including its tied block.  ``event_blocks`` are the blocks with
+    ``r_l > 0``, and ``entry[i]`` is the first of them (as a position in
+    ``event_blocks``) whose risk set holds row i; rows past the last event
+    block get ``len(event_blocks)``.
     """
 
     def __init__(self, t, delta):
@@ -467,15 +469,13 @@ class SurvivalData:
         self.t = t
         self.delta = delta.astype(np.int64)
         change = np.flatnonzero(np.diff(t) != 0.0)
-        ends = np.append(change + 1, t.shape[0]).astype(np.int64)
-        self.block_ends = ends
-        self.unique_times = t[np.append(0, change + 1).astype(np.int64)]
-        r = np.zeros(ends.shape[0], dtype=np.int64)
-        start = 0
-        for l, end in enumerate(ends):
-            r[l] = int(self.delta[start:end].sum())
-            start = end
-        self.r_l = r
+        starts = np.append(0, change + 1).astype(np.int64)
+        self.block_ends = np.append(change + 1, t.shape[0]).astype(np.int64)
+        self.unique_times = t[starts]
+        self.r_l = np.add.reduceat(self.delta, starts)
+        self.event_blocks = np.flatnonzero(self.r_l)
+        self.entry = np.searchsorted(self.block_ends[self.event_blocks],
+                                     np.arange(t.shape[0]), side="right")
 
     @classmethod
     def from_unsorted(cls, t, delta):
@@ -485,27 +485,94 @@ class SurvivalData:
         return cls(t[order], np.asarray(delta)[order]), order
 
 
-def coxph_llk(data, eta):
-    """Breslow partial log-likelihood with running log-sum-exp risk sums."""
+#: risk sets whose largest eta lies within this range of a shift share it
+#: when their sums are accumulated, so every sum stays above exp(-600)
+_LOG_SHIFT_RANGE = 600.0
+
+
+def _checked_eta(eta):
     eta = np.asarray(eta, dtype=float)
     if not np.all(np.isfinite(eta)):
         raise DomainError("linear predictor contains non-finite values")
-    return float(kernels.coxph_llk(eta, data.delta, data.block_ends,
-                                   data.r_l.astype(np.float64)))
+    return eta
+
+
+def _risk_sums(data, eta, X=None):
+    """Prefix and suffix sums over the risk sets of the event blocks.
+
+    Returns ``(log_w, u, M)``:
+
+    - ``log_w[l]`` = log W_l, the log of the sum of exp(eta) over risk set l;
+    - ``u[i]`` = exp(eta_i) times the sum of r_l / W_l over the risk sets
+      that hold row i;
+    - when X is given, the rows of ``M`` are the risk-set means
+      m_l = sum_{i in R_l} exp(eta_i - log W_l) x_i.
+
+    The sums are plain cumulative sums of exp(eta - c), with one shift c for
+    all risk sets whose largest eta lies within ``_LOG_SHIFT_RANGE`` of c.
+    Earlier risk sets, which would underflow under it, are summed again
+    under their own shift, so no risk set is lost to underflow.
+    """
+    ends = data.block_ends[data.event_blocks]
+    r = data.r_l[data.event_blocks]
+    log_w = np.empty(ends.size)
+    u = np.zeros(eta.shape[0])
+    M = None if X is None else np.empty((ends.size, X.shape[1]))
+    if not ends.size:
+        return log_w, u, M
+    peak = np.maximum.accumulate(eta[:ends[-1]])[ends - 1]
+    hi = ends.size
+    while hi > 0:
+        c = peak[hi - 1]
+        lo = int(np.searchsorted(peak[:hi], c - _LOG_SHIFT_RANGE))
+        rows = int(ends[hi - 1])
+        w = np.exp(eta[:rows] - c)
+        entry = data.entry[:rows]
+        S = np.cumsum(np.bincount(entry, weights=w, minlength=hi))[lo:]
+        log_w[lo:hi] = c + np.log(S)
+        tail = np.cumsum((r[lo:hi] / S)[::-1])[::-1]
+        u[:rows] += w * tail[np.maximum(entry, lo) - lo]
+        if X is not None:
+            A = sp.csr_array((w, (entry, np.arange(rows))),
+                             shape=(hi, X.shape[0])) @ X
+            A = A.toarray() if sp.issparse(A) else np.asarray(A)
+            M[lo:hi] = np.cumsum(A, axis=0)[lo:] / S[:, None]
+        hi = lo
+    return log_w, u, M
+
+
+def coxph_llk(data, eta):
+    """Breslow partial log-likelihood: the sum over the event blocks of
+    their events' eta minus r_l log W_l, each block's term formed first."""
+    eta = _checked_eta(eta)
+    log_w, _, _ = _risk_sums(data, eta)
+    event_eta = np.bincount(data.entry, weights=eta * data.delta,
+                            minlength=log_w.size + 1)[:-1]
+    return float(np.sum(event_eta - data.r_l[data.event_blocks] * log_w))
+
 
 def coxph_grad(data, eta, X):
-    X = np.ascontiguousarray(X, dtype=float)
-    return kernels.coxph_grad(np.asarray(eta, dtype=float), data.delta,
-                              data.block_ends, data.r_l.astype(np.float64), X)
+    """Score X^T (delta - u); X dense or sparse, rows in time order."""
+    eta = _checked_eta(eta)
+    _, u, _ = _risk_sums(data, eta)
+    return np.asarray(X.T @ (data.delta - u), dtype=float)
 
 
 def coxph_hess(data, eta, X):
-    """Hessian of the partial log-likelihood (dense, negative semi-definite)."""
-    X = np.ascontiguousarray(X, dtype=float)
-    H = kernels.coxph_neg_hess(np.asarray(eta, dtype=float), data.delta,
-                               data.block_ends,
-                               data.r_l.astype(np.float64), X)
-    return -H
+    """Hessian of the partial log-likelihood (dense, negative semi-definite).
+
+    -H = X^T diag(u) X - sum_l r_l m_l m_l^T over the event blocks, with m_l
+    the risk-set mean of the rows of X.
+    """
+    eta = _checked_eta(eta)
+    _, u, M = _risk_sums(data, eta, X)
+    n = eta.shape[0]
+    XuX = X.T @ (sp.dia_array((u[None, :], [0]), shape=(n, n)) @ X)
+    XuX = XuX.toarray() if sp.issparse(XuX) else np.asarray(XuX)
+    negH = XuX - M.T @ (data.r_l[data.event_blocks][:, None] * M)
+    if not np.all(np.isfinite(negH)):
+        raise DomainError("Cox Hessian is not finite")
+    return -negH
 
 
 class CoxphFamily(GeneralFamily):
@@ -513,7 +580,8 @@ class CoxphFamily(GeneralFamily):
 
     Times arrive in the caller's row order; the family keeps its own
     decreasing-time permutation and composes it with the design's internal
-    row order, since the two sorts generally differ.
+    row order, since the two sorts generally differ.  The design's rows in
+    time order are cached (CSR) for the last design seen.
     """
 
     n_parameters = 1
@@ -524,27 +592,20 @@ class CoxphFamily(GeneralFamily):
         self._bound = None
 
     def _binding(self, design):
+        """Rows of ``design.X_full`` in decreasing-time order."""
         if self._bound is None or self._bound[0] is not design:
             # internal row for user row j is inverse_order[j]
             idx = design.inverse_order[self._user_time_order]
-            self._bound = (design, idx)
+            self._bound = (design, sp.csr_array(design.X_full)[idx])
         return self._bound[1]
 
-    def _eta_time(self, beta, design):
-        eta_internal = np.asarray(design.X_full @ beta)
-        return eta_internal[self._binding(design)]
-
     def llk(self, beta, design):
-        return coxph_llk(self.data, self._eta_time(beta, design))
+        return coxph_llk(self.data, self._binding(design) @ beta)
 
     def grad(self, beta, design):
-        idx = self._binding(design)
-        eta = self._eta_time(beta, design)
-        X_time = np.asarray(design.X_full[idx, :].todense())
-        return coxph_grad(self.data, eta, X_time)
+        X = self._binding(design)
+        return coxph_grad(self.data, X @ beta, X)
 
     def hess(self, beta, design):
-        idx = self._binding(design)
-        eta = self._eta_time(beta, design)
-        X_time = np.asarray(design.X_full[idx, :].todense())
-        return coxph_hess(self.data, eta, X_time)
+        X = self._binding(design)
+        return coxph_hess(self.data, X @ beta, X)

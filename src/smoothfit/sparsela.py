@@ -16,7 +16,7 @@ from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from . import kernels
-from .errors import IndefiniteError, SingularityError, SpecError
+from .errors import IndefiniteError, SpecError
 
 #: Heath drop threshold: |R_jj| below this fraction of the largest diagonal
 HEATH_DROP_RTOL = 1e-7
@@ -277,27 +277,6 @@ def _dense_cols(D):
     D = np.asarray(D, dtype=float)
     nz = np.flatnonzero(np.any(D != 0.0, axis=0))
     return D[:, nz]
-
-
-def invert_lower(L):
-    """Sparse inverse of a lower-triangular matrix, column by column."""
-    L = as_csc(L)
-    n = L.shape[0]
-    Lp = L.indptr.astype(np.int64)
-    Li = L.indices.astype(np.int64)
-    Lx = L.data.astype(float)
-    diag = L.diagonal()
-    if np.any(diag == 0.0):
-        raise SingularityError("zero diagonal entry in triangular matrix")
-    # the kernel expects the diagonal entry first within each column
-    for j in range(n):
-        lo, hi = Lp[j], Lp[j + 1]
-        if hi > lo and Li[lo] != j:
-            k = lo + int(np.nonzero(Li[lo:hi] == j)[0][0])
-            Li[lo], Li[k] = Li[k], Li[lo]
-            Lx[lo], Lx[k] = Lx[k], Lx[lo]
-    Ip, Ii, Ix = kernels.invert_lower_csc(n, Lp, Li, Lx)
-    return sp.csc_array((Ix, Ii, Ip), shape=(n, n))
 
 
 class QRFactor:

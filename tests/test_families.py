@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothfit import families as fam
+from smoothfit.design import ModelSpec, TermSpec, build_design
 from smoothfit.errors import DomainError, SpecError
 
 
@@ -161,6 +165,39 @@ class TestAssembleDerivs:
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
+def loop_coxph(data, eta, X):
+    """Loop reference: (llk, gradient, negative Hessian) accumulated block by
+    block over the time-sorted rows, with one global exponent shift.
+
+    This is the evaluator the package used before it moved to prefix sums.
+    """
+    c = eta.max()
+    p = X.shape[1]
+    llk = 0.0
+    grad = np.zeros(p)
+    H = np.zeros((p, p))
+    acc = np.zeros(p)
+    A2 = np.zeros((p, p))
+    wsum = 0.0
+    start = 0
+    for l, end in enumerate(data.block_ends):
+        for i in range(start, end):
+            w = np.exp(eta[i] - c)
+            wsum += w
+            acc += w * X[i]
+            A2 += w * np.outer(X[i], X[i])
+            if data.delta[i] == 1:
+                llk += eta[i]
+                grad += X[i]
+        r = data.r_l[l]
+        if r > 0:
+            llk -= r * (np.log(wsum) + c)
+            grad -= r * acc / wsum
+            H += r * A2 / wsum - r * np.outer(acc, acc) / wsum ** 2
+        start = end
+    return llk, grad, H
+
+
 def brute_force_coxph(data, eta):
     total = 0.0
     n = data.t.size
@@ -253,6 +290,126 @@ class TestCoxph:
         val = fam.coxph_llk(data, eta)
         assert np.isfinite(val)
 
+    @pytest.mark.parametrize("eta, llk, grad, negH", [
+        ([-400.0, 400.0, 0.0], -400.0, [0.0, -1.0, 1.0],
+         [[0.0, 0.0, 0.0], [0.0, np.exp(-400.0), -np.exp(-400.0)],
+          [0.0, -np.exp(-400.0), np.exp(-400.0)]]),
+        ([-800.0, 0.0, 0.0], -np.log(2.0), [0.0, -0.5, 0.5],
+         [[0.0, 0.0, 0.0], [0.0, 0.25, -0.25], [0.0, -0.25, 0.25]]),
+    ], ids=["first_low_second_high", "first_low"])
+    def test_early_risk_set_underflow(self, eta, llk, grad, negH):
+        # the first risk sets hold only exp(eta) far below the largest
+        # weight; a single global shift rounds their sums to zero
+        data = fam.SurvivalData(np.array([3.0, 2.0, 1.0]),
+                                np.array([1, 1, 1]))
+        eta = np.array(eta)
+        for X in (np.eye(3), sp.csr_array(np.eye(3))):
+            assert abs(fam.coxph_llk(data, eta) - llk) <= 1e-14 * abs(llk)
+            np.testing.assert_allclose(fam.coxph_grad(data, eta, X), grad,
+                                       rtol=1e-14, atol=1e-15)
+            # exact up to rounding on the scale of the information, 3
+            np.testing.assert_allclose(-fam.coxph_hess(data, eta, X), negH,
+                                       rtol=0, atol=1e-14)
+
+    def test_non_finite_eta_rejected(self):
+        data = fam.SurvivalData(np.array([2.0, 1.0]), np.array([1, 1]))
+        X = np.eye(2)
+        for call in (lambda e: fam.coxph_llk(data, e),
+                     lambda e: fam.coxph_grad(data, e, X),
+                     lambda e: fam.coxph_hess(data, e, X)):
+            with pytest.raises(DomainError):
+                call(np.array([0.0, np.inf]))
+
+    def test_r_l_counts_events_per_time(self):
+        data = fam.SurvivalData(np.array([5.0, 5.0, 4.0, 3.0, 3.0, 3.0]),
+                                np.array([1, 1, 0, 0, 1, 0]))
+        np.testing.assert_array_equal(data.r_l, [2, 0, 1])
+        np.testing.assert_array_equal(data.block_ends, [2, 3, 6])
+        np.testing.assert_array_equal(data.event_blocks, [0, 2])
+        np.testing.assert_array_equal(data.entry, [0, 0, 1, 1, 1, 1])
+
     def test_sorting_enforced(self):
         with pytest.raises(SpecError):
             fam.SurvivalData(np.array([1.0, 2.0]), np.array([1, 0]))
+
+
+@st.composite
+def cox_cases(draw):
+    """Sorted survival data with ties, censored rows and event-free blocks,
+    a design X and a linear predictor on it."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_times = draw(st.integers(1, n))
+    t = rng.integers(0, n_times, n).astype(float)
+    delta = (rng.uniform(size=n) < draw(st.floats(0.0, 1.0))).astype(int)
+    data, order = fam.SurvivalData.from_unsorted(t, delta)
+    X = rng.standard_normal((n, p))
+    X[rng.uniform(size=(n, p)) < draw(st.floats(0.0, 0.8))] = 0.0
+    eta = X @ rng.normal(0.0, draw(st.floats(0.0, 3.0)), p)
+    return data, X, eta
+
+
+class TestCoxphAgainstLoops:
+    """Prefix-sum likelihood, score and Hessian against the block loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cox_cases(), st.booleans())
+    def test_matches_loop(self, case, sparse):
+        data, X, eta = case
+        llk, grad, negH = loop_coxph(data, eta, X)
+        Xa = sp.csr_array(X) if sparse else X
+        # the error scales with the curvature of the events' risk sets
+        scale = max(1.0, float(data.r_l.sum()) * np.abs(X).max() ** 2)
+        assert abs(fam.coxph_llk(data, eta) - llk) <= \
+            1e-12 * max(1.0, abs(llk))
+        np.testing.assert_allclose(fam.coxph_grad(data, eta, Xa), grad,
+                                   rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(-fam.coxph_hess(data, eta, Xa), negH,
+                                   rtol=0, atol=1e-12 * scale)
+
+
+class TestCoxphFamilyBinding:
+    def _designs(self):
+        rng = np.random.default_rng(31)
+        n = 60
+        data = {"x": rng.uniform(-1, 1, n),
+                "g": np.array([f"g{j}" for j in rng.integers(0, 5, n)])}
+        plain = build_design(ModelSpec([TermSpec("smooth", ["x"], k=6)]),
+                             data)
+        grouped = build_design(ModelSpec([
+            TermSpec("smooth", ["x"], k=6),
+            TermSpec("random_intercept", by_factor="g")]), data)
+        t = np.round(rng.uniform(0.5, 3.0, n), 1)
+        delta = rng.integers(0, 2, n)
+        return rng, plain, grouped, t, delta
+
+    def test_alternating_designs_match_fresh_families(self):
+        # one family evaluated on designs whose internal row orders differ,
+        # as fit_gsmm does with the working and the reduced design
+        rng, plain, grouped, t, delta = self._designs()
+        assert not np.array_equal(plain.row_order, grouped.row_order)
+        fam_shared = fam.CoxphFamily(t, delta)
+        for _ in range(2):
+            for d in (plain, grouped):
+                beta = rng.normal(0.0, 0.5, d.N_p)
+                fresh = fam.CoxphFamily(t, delta)
+                assert fam_shared.llk(beta, d) == fresh.llk(beta, d)
+                np.testing.assert_array_equal(fam_shared.grad(beta, d),
+                                              fresh.grad(beta, d))
+                np.testing.assert_array_equal(fam_shared.hess(beta, d),
+                                              fresh.hess(beta, d))
+
+    def test_matches_user_order_evaluation(self):
+        # the cached time-ordered rows give the likelihood of the design's
+        # rows taken back to the caller's order
+        rng, _, grouped, t, delta = self._designs()
+        beta = rng.normal(0.0, 0.5, grouped.N_p)
+        eta_user = grouped.to_user(np.asarray(grouped.X_full @ beta))
+        X_user = np.asarray(grouped.X_full.toarray())[grouped.inverse_order]
+        data, order = fam.SurvivalData.from_unsorted(t, delta)
+        llk, grad, negH = loop_coxph(data, eta_user[order], X_user[order])
+        f = fam.CoxphFamily(t, delta)
+        assert abs(f.llk(beta, grouped) - llk) <= 1e-12 * abs(llk)
+        np.testing.assert_allclose(f.grad(beta, grouped), grad, atol=1e-11)
+        np.testing.assert_allclose(-f.hess(beta, grouped), negH, atol=1e-11)

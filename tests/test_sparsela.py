@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothfit import sparsela as sla
-from smoothfit.errors import IndefiniteError, SingularityError, SpecError
+from smoothfit.errors import IndefiniteError, SpecError
 
 
 def random_spd(rng, n, density=0.3, shift=None):
@@ -277,33 +277,6 @@ class TestTraces:
         Dl = rng.standard_normal((40, 3))
         ref = np.trace(Ainv @ (Dj @ Dj.T) @ Ainv @ (Dl @ Dl.T))
         assert abs(sla.trace_inv_pair(f, Dj, Dl) - ref) <= 1e-9 * abs(ref)
-
-
-class TestInvertLower:
-    def test_diag(self):
-        L = sp.csc_array(np.diag([2.0, 4.0]))
-        np.testing.assert_allclose(sla.invert_lower(L).todense(),
-                                   np.diag([0.5, 0.25]))
-
-    def test_bidiagonal(self):
-        L = sp.csc_array(np.array([[1.0, 0.0], [-1.0, 1.0]]))
-        np.testing.assert_allclose(sla.invert_lower(L).todense(),
-                                   [[1.0, 0.0], [1.0, 1.0]])
-
-    def test_random_triangular(self):
-        rng = np.random.default_rng(8)
-        n = 100
-        L = np.tril(rng.standard_normal((n, n)))
-        L[np.abs(L) < 1.2] = 0.0
-        np.fill_diagonal(L, rng.uniform(1.0, 2.0, n))
-        Linv = sla.invert_lower(sp.csc_array(L))
-        ref = np.linalg.inv(L)
-        np.testing.assert_allclose(np.asarray(Linv.todense()), ref,
-                                   atol=1e-10 * np.abs(ref).max())
-
-    def test_zero_diagonal(self):
-        with pytest.raises(SingularityError):
-            sla.invert_lower(sp.csc_array(np.diag([1.0, 0.0])))
 
 
 class TestPenalizedQR:
