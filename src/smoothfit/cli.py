@@ -79,13 +79,29 @@ def read_table(path):
 
 
 def write_table(path, rows, columns=None):
-    if columns is None:
-        columns = sorted({k for row in rows for k in row})
+    """Write a CSV table with floats as their ``repr`` text.
+
+    ``rows`` is a list of row dicts (a cell missing from a row is written
+    empty; the columns default to the sorted keys) or a dict of
+    equal-length array columns, written in ``columns`` or insertion order.
+    """
+    if isinstance(rows, dict):
+        columns = list(rows) if columns is None else columns
+        body = zip(*[_cells(rows[c]) for c in columns])
+    else:
+        if columns is None:
+            columns = sorted({k for row in rows for k in row})
+        body = ([_fmt(row.get(c, "")) for c in columns] for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c, "")) for c in columns])
+        writer.writerows(body)
+
+
+def _cells(col):
+    col = np.asarray(col)
+    vals = col.tolist()
+    return list(map(repr, vals)) if col.dtype.kind == "f" else vals
 
 
 def _fmt(v):
@@ -381,6 +397,23 @@ def fit_from_config(doc, data, config):
     raise SpecError(f"unknown engine {engine!r}")
 
 
+def refit_artifact(artifact, data, path):
+    """Re-fit the model an artifact describes on ``data``.
+
+    Raises SpecError unless the re-fit coefficients reproduce the
+    artifact's, to 1e-8 of max(1, max|beta|): the data must be the table
+    the artifact was fitted on.
+    """
+    config = {"engine": artifact["engine"], "family": artifact["family"],
+              "link": artifact["link"], **artifact["options"]}
+    fit, _, _ = fit_from_config(artifact["spec_doc"], data, config)
+    stored = np.asarray(artifact["coefficients"], dtype=float)
+    if stored.shape != fit.beta.shape or np.max(np.abs(fit.beta - stored)) \
+            > 1e-8 * max(1.0, float(np.max(np.abs(stored)))):
+        raise SpecError(f"{path}: artifact was not fitted on this data")
+    return fit
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -415,8 +448,7 @@ def cmd_predict(args):
     restored = RestoredFit(artifact, sidecar_path=args.artifact + ".cache.npz")
     data = read_table(args.data)
     n = _table_length(data)
-    columns = ["row"]
-    rows = [{"row": i} for i in range(n)]
+    cols = {"row": np.arange(n)}
     if n:
         X = restored.predict_rows(data, clamp=True)
         slices = restored.param_slices()
@@ -425,29 +457,18 @@ def cmd_predict(args):
                                       "poisson", "inverse_gaussian") \
             else get_link("identity")
         for m, sl in enumerate(slices):
-            eta = np.asarray(X[:, sl] @ restored.beta[sl])
-            for i in range(n):
-                rows[i][f"eta_{m}"] = eta[i]
-            if m == 0:
-                mu = link.inverse(eta)
-                for i in range(n):
-                    rows[i]["mu"] = mu[i]
-                if restored.factor is not None:
-                    # the interval of eta_0 sees only its own coefficients
-                    X0 = X
-                    if len(slices) > 1:
-                        mask = np.zeros(X.shape[1])
-                        mask[sl] = 1.0
-                        X0 = X @ sp.diags_array(mask)
-                    _, lo, hi, _ = credible_intervals(restored, X0,
-                                                      level=0.95)
-                    for i in range(n):
-                        rows[i]["eta_0_lo"] = lo[i]
-                        rows[i]["eta_0_hi"] = hi[i]
-        columns += [f"eta_{m}" for m in range(len(slices))] + ["mu"]
+            cols[f"eta_{m}"] = np.asarray(X[:, sl] @ restored.beta[sl])
+        cols["mu"] = link.inverse(cols["eta_0"])
         if restored.factor is not None:
-            columns += ["eta_0_lo", "eta_0_hi"]
-    write_table(args.out, rows, columns)
+            # the interval of eta_0 sees only its own coefficients
+            X0 = X
+            if len(slices) > 1:
+                mask = np.zeros(X.shape[1])
+                mask[slices[0]] = 1.0
+                X0 = X @ sp.diags_array(mask)
+            _, cols["eta_0_lo"], cols["eta_0_hi"], _ = credible_intervals(
+                restored, X0, level=0.95)
+    write_table(args.out, cols)
     print(f"wrote {n} prediction rows to {args.out}")
     return 0
 
@@ -466,10 +487,7 @@ def cmd_aic(args):
             ref = (doc["response"], artifact["n_obs"])
         elif doc["response"] != ref[0] or artifact["n_obs"] != ref[1]:
             raise SpecError("artifacts disagree on the response vector")
-        config = {"engine": artifact["engine"], "family": artifact["family"],
-                  "link": artifact["link"], **artifact["options"]}
-        fit, design, _ = fit_from_config(doc, data, config)
-        fits.append((path, fit))
+        fits.append((path, refit_artifact(artifact, data, path)))
     for path, fit in fits:
         row = {"model": path, "llk": fit.llk, "tau": fit.edf}
         for variant in variants:
@@ -495,9 +513,7 @@ def cmd_sample(args):
     data = read_table(args.data)
     with open(args.artifact, encoding="utf-8") as fh:
         artifact = json.load(fh)
-    config = {"engine": artifact["engine"], "family": artifact["family"],
-              "link": artifact["link"], **artifact["options"]}
-    fit, design, _ = fit_from_config(artifact["spec_doc"], data, config)
+    fit = refit_artifact(artifact, data, args.artifact)
     draws = sample_beta_conditional(fit, args.n, seed=args.seed)
     rows = [{"draw": i, **{f"b{j}": draws[j, i]
                            for j in range(draws.shape[0])}}

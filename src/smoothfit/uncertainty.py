@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf
 from scipy.stats import norm
 
-from .efs import PenalizedSystem, reml_value
-from .errors import NumericError, SpecError
+from .efs import reml_value
+from .errors import IndefiniteError, SpecError
+from .families import pseudo_data
 
 #: flat-direction thresholds: a coordinate is dropped from the rho
 #: posterior when both its REML gradient and curvature vanish, or when it
@@ -188,39 +190,105 @@ def _trace_VJH(fit, rho_post, design):
     return float(np.sum((J.T @ HJ) * rho_post.V_rho)) / fit.covariance_scale()
 
 
+#: bytes of one (draws, N_p, N_p) stack in a chunk of batched refits
+REFIT_CHUNK_BYTES = 1 << 20
+
+
+def _refit_draws(fit, lams):
+    """(betas, taus, remls) of an am/gam fit refitted at each row of lams.
+
+    The final working Gaussian model (the PQL view) is refitted on the
+    retained columns, those not in ``fit.dropped``: X^T W X, X^T W z and the
+    dense embedded S^r are formed once, then each chunk of draws stacks
+    H_i = X^T W X + sum_r lams[i, r] S^r and takes one batched Cholesky
+    factor.  From it come beta_i (dropped entries zero), tr(H_i^{-1} S^r),
+    log|H_i|, tau_i and the REML value.  A chunk holds REFIT_CHUNK_BYTES of
+    (N_p, N_p) matrices, so dense storage suits desk-scale N_p.
+    """
+    design = fit._design
+    lams = np.atleast_2d(np.asarray(lams, dtype=float))
+    X = design.X_full
+    if fit.engine == "am":
+        z, w = fit._y, None
+    else:
+        mu = fit._link.inverse(np.asarray(X @ fit.beta))
+        z, w, _ = pseudo_data(fit._y, mu, fit._link, fit._family)
+    keep = np.array([j for j in range(design.N_p) if j not in fit.dropped],
+                    dtype=np.int64)
+    # X stays sparse (random-effect and factor-smooth level columns are
+    # block-sparse); only the N_p x N_p normal matrix is dense
+    Xk = sp.csc_array(X[:, keep])
+    wq = np.ones(design.N) if w is None else np.asarray(w, dtype=float)
+    XtWX = (Xk.T @ sp.csc_array(Xk.multiply(wq[:, None]))).toarray()
+    XtWz = np.asarray(Xk.T @ (wq * z))
+    # the penalized residual sum of squares is expanded about beta_hat,
+    # which keeps it exact and stationary in beta_i without N-row products
+    beta_hat = fit.beta[keep]
+    resid = z - np.asarray(Xk @ beta_hat)
+    rss_hat = float(resid @ (wq * resid))
+    grad_hat = np.asarray(Xk.T @ (wq * resid))
+    n_active = keep.size
+    S = np.zeros((design.n_lambda, n_active, n_active))
+    for r in range(design.n_lambda):
+        S[r] = design.S_emb(r)[keep][:, keep].toarray()
+    S_flat = S.reshape(design.n_lambda, n_active * n_active)
+    phi = fit.phi
+    const = 0.5 * float(np.sum(np.log(wq))) \
+        - 0.5 * design.N * np.log(2.0 * np.pi * phi) \
+        - 0.5 * design.penalty_rank * np.log(phi) \
+        + 0.5 * n_active * np.log(phi)
+    n_draws = lams.shape[0]
+    betas = np.zeros((n_draws, design.N_p))
+    taus = np.empty(n_draws)
+    remls = np.empty(n_draws)
+    step = max(1, REFIT_CHUNK_BYTES // (8 * n_active * n_active))
+    for lo in range(0, n_draws, step):
+        lc = lams[lo:lo + step]
+        H = XtWX + (lc @ S_flat).reshape(-1, n_active, n_active)
+        L = _batched_cholesky(H, keep)
+        Linv = np.linalg.inv(L)
+        LinvT = np.swapaxes(Linv, 1, 2)
+        beta = (LinvT @ (Linv @ XtWz)[:, :, None])[:, :, 0]
+        Hinv = LinvT @ Linv
+        tr_H = Hinv.reshape(lc.shape[0], -1) @ S_flat.T
+        taus[lo:lo + step] = n_active - np.sum(lc * tr_H, axis=1)
+        d = beta - beta_hat
+        quads = np.sum((beta @ S) * beta, axis=2).T
+        rss_pen = rss_hat - 2.0 * d @ grad_hat \
+            + np.sum((d @ XtWX) * d, axis=1) + np.sum(lc * quads, axis=1)
+        logdet_H = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)),
+                                axis=1)
+        logdet_S = np.array([design.logdet_S_plus(lv) for lv in lc])
+        remls[lo:lo + step] = const - rss_pen / (2.0 * phi) \
+            + 0.5 * logdet_S - 0.5 * logdet_H
+        betas[lo:lo + step, keep] = beta
+    return betas, taus, remls
+
+
+def _batched_cholesky(H, keep):
+    """Lower Cholesky factors of a stack; IndefiniteError names the first
+    failing pivot (an index into the full coefficient vector)."""
+    try:
+        return np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        for Hi in H:
+            info = dpotrf(Hi, lower=1)[1]
+            if info > 0:
+                raise IndefiniteError(keep[info - 1]) from None
+        raise
+
+
 def _conditional_refit(fit, design, lams):
     """beta, tau, and REML value of the fit conditioned on new lams.
 
     Working-model engines refit the final linearized Gaussian model (the
-    PQL view); general smooth models re-run warm-started Newton steps.
+    PQL view, see :func:`_refit_draws`); general smooth models re-run
+    warm-started Newton steps.
     """
     from . import efs as efs_mod
     if fit.engine in ("am", "gam"):
-        work = fit._design
-        X = work.X_full
-        w = fit._weights
-        z = fit._y if fit.engine == "am" else None
-        if z is None:
-            from .families import pseudo_data
-            mu = fit._link.inverse(np.asarray(X @ fit.beta))
-            z, w, _ = pseudo_data(fit._y, mu, fit._link, fit._family)
-        sysm = _refit_system(fit)
-        beta_s, factor = efs_mod.solve_penalized(X, z, w, work, lams,
-                                                 system=sysm)
-        tr_H = np.array([_trace_r(factor, work, r)
-                         for r in range(work.n_lambda)])
-        n_active = work.N_p - len(fit.dropped)
-        tau = n_active - float(np.sum(lams * tr_H))
-        wq = np.ones(work.N) if w is None else w
-        resid = np.sqrt(wq) * (z - np.asarray(X @ beta_s))
-        pen = float(np.asarray(lams) @ work.quad_forms(beta_s))
-        phi = fit.phi
-        llk_work = float(0.5 * np.sum(np.log(wq))
-                         - 0.5 * work.N * np.log(2.0 * np.pi * phi)
-                         - (float(resid @ resid) + pen) / (2.0 * phi))
-        reml = reml_value(work, factor, lams, llk_work, phi=phi,
-                          n_active=n_active)
-        return beta_s, tau, reml
+        betas, taus, remls = _refit_draws(fit, np.asarray(lams)[None, :])
+        return betas[0], float(taus[0]), float(remls[0])
     # general smooth model: warm Newton restart on the working design
     work = fit.work_design
     family = fit._family
@@ -234,12 +302,6 @@ def _conditional_refit(fit, design, lams):
     return fit._from_work(beta_w), tau, reml
 
 
-def _refit_system(fit):
-    if "_refit_system" not in fit.diagnostics:
-        fit.diagnostics["_refit_system"] = PenalizedSystem(fit._design)
-    return fit.diagnostics["_refit_system"]
-
-
 def _trace_r(factor, design, r):
     from . import sparsela
     return sparsela.trace_inv_form(factor, design.D_root(r))
@@ -249,10 +311,10 @@ def mc_tau_gaussian(fit, n_r=250, seed=0, rho_post=None, lower_bound=True):
     """Monte Carlo corrected degrees of freedom for additive models.
 
     Draws log regularization vectors from the normal posterior
-    approximation, re-solves the additive model for each draw, averages
-    the conditional edf traces, and adds tr(V^J H); optionally
-    lower-bounded by the PQL-corrected value.  Deterministic given the
-    seed.
+    approximation, re-solves the additive model for all draws in chunked
+    dense batches (:func:`_refit_draws`), averages the conditional edf
+    traces, and adds tr(V^J H); optionally lower-bounded by the
+    PQL-corrected value.  Deterministic given the seed.
     """
     if fit.engine != "am":
         raise SpecError("mc_tau_gaussian expects a Gaussian additive fit")
@@ -260,9 +322,7 @@ def mc_tau_gaussian(fit, n_r=250, seed=0, rho_post=None, lower_bound=True):
     rho_post = rho_post or rho_posterior(fit, design)
     rng = np.random.default_rng(seed)
     draws = _draw_rho(rho_post, n_r, rng, proposal="normal")
-    taus = np.zeros(n_r)
-    for i in range(n_r):
-        _, taus[i], _ = _conditional_refit(fit, design, np.exp(draws[i]))
+    _, taus, _ = _refit_draws(fit, np.exp(draws))
     vjh = _trace_VJH(fit, rho_post, design)
     tau_prime = float(np.mean(taus)) + vjh
     if lower_bound:
@@ -296,33 +356,14 @@ def _log_t_density(x, mean, Vk, keep, df):
     return -0.5 * (df + p) * np.log1p(q / df)
 
 
-def mc_tau_general(fit, n_r=250, proposal="normal", prior="proposal",
-                   seed=0, t_df=4, rho_post=None, lower_bound=True,
-                   h_at_mean=False):
-    """Importance-sampled corrected degrees of freedom for any engine.
-
-    Candidate log regularization vectors come from a normal or
-    heavy-tailed t proposal centered at the estimate; the weights are
-    REML-proportional when the proposal doubles as the prior
-    (Greven & Scheipl, 2016) and full importance ratios for a uniform-box
-    prior.  The three-term trace identity adds the between-draw
-    variability of the refit coefficients.
-    """
-    if prior not in ("proposal", "uniform-box"):
-        raise SpecError("prior must be 'proposal' or 'uniform-box'")
-    design = fit._design
-    rho_post = rho_post or rho_posterior(fit, design)
-    rng = np.random.default_rng(seed)
-    draws = _draw_rho(rho_post, n_r, rng, proposal=proposal, t_df=t_df)
+def _importance_weights(draws, remls, rho_post, proposal="normal",
+                        prior="proposal", t_df=4):
+    """Normalized weights of the draws: REML-proportional when the proposal
+    doubles as the prior, divided by the proposal density under the
+    uniform-box prior."""
     n_l = rho_post.rho_hat.size
     keep = np.array([r for r in range(n_l)
                      if r not in rho_post.dropped_dims], dtype=np.int64)
-    taus = np.zeros(n_r)
-    remls = np.zeros(n_r)
-    betas = np.zeros((n_r, fit.beta.size))
-    for i in range(n_r):
-        betas[i], taus[i], remls[i] = _conditional_refit(
-            fit, design, np.exp(draws[i]))
     logw = remls - np.max(remls)
     if prior == "uniform-box" and keep.size:
         Vk = rho_post.V_rho[np.ix_(keep, keep)]
@@ -336,13 +377,42 @@ def mc_tau_general(fit, n_r=250, proposal="normal", prior="proposal",
         logw = logw - logq
         logw = logw - np.max(logw)
     w = np.exp(logw)
-    w = w / np.sum(w)
+    return w / np.sum(w)
+
+
+def mc_tau_general(fit, n_r=250, proposal="normal", prior="proposal",
+                   seed=0, t_df=4, rho_post=None, lower_bound=True,
+                   h_at_mean=False):
+    """Importance-sampled corrected degrees of freedom for any engine.
+
+    Candidate log regularization vectors come from a normal or
+    heavy-tailed t proposal centered at the estimate; the weights are
+    REML-proportional when the proposal doubles as the prior
+    (Greven & Scheipl, 2016) and full importance ratios for a uniform-box
+    prior.  The three-term trace identity adds the between-draw
+    variability of the refit coefficients.  am/gam fits refit all draws in
+    chunked dense batches (:func:`_refit_draws`); gsmm and lqefs fits run a
+    warm Newton refit per draw.
+    """
+    if prior not in ("proposal", "uniform-box"):
+        raise SpecError("prior must be 'proposal' or 'uniform-box'")
+    design = fit._design
+    rho_post = rho_post or rho_posterior(fit, design)
+    rng = np.random.default_rng(seed)
+    draws = _draw_rho(rho_post, n_r, rng, proposal=proposal, t_df=t_df)
+    working = fit.engine in ("am", "gam")
+    if working:
+        betas, taus, remls = _refit_draws(fit, np.exp(draws))
+    else:
+        betas, taus, remls = map(np.array, zip(*[
+            _conditional_refit(fit, design, np.exp(d)) for d in draws]))
+    w = _importance_weights(draws, remls, rho_post, proposal, prior, t_df)
     ess = 1.0 / float(np.sum(w ** 2))
     flags = {}
     if ess < 10:
         flags["low_ess"] = ess
     scale = fit.covariance_scale()
-    if h_at_mean and fit.engine not in ("am", "gam"):
+    if h_at_mean and not working:
         beta_mean = w @ betas
         H_mean = -sp.csc_array(fit._family.hess(beta_mean, fit._design))
 

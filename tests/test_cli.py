@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from smoothfit.cli import main, read_table
+from smoothfit.cli import main, read_table, write_table
 from smoothfit.errors import SpecError
 
 
@@ -254,6 +254,28 @@ class TestAic:
         assert "caic_pql_corrected" not in header
 
 
+    def test_artifact_from_other_data_rejected(self, workspace, capsys):
+        # same row count and response, another covariate column: the re-fit
+        # does not reproduce the artifact's coefficients
+        tmp, data, spec, _, x, v, y = workspace
+        main(["fit", "--data", str(data), "--spec", str(spec),
+              "--engine", "am", "--out", str(tmp / "a.json")])
+        other = tmp / "other.csv"
+        write_csv(other, {"y": [float(t) for t in y],
+                          "x": [float(t) for t in x[::-1]],
+                          "v": [float(t) for t in v]})
+        capsys.readouterr()
+        assert main(["aic", str(tmp / "a.json"), "--data", str(other),
+                     "--out", str(tmp / "cmp.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "artifact was not fitted on this data" in err
+        assert not (tmp / "cmp.csv").exists()
+        assert main(["sample", "--artifact", str(tmp / "a.json"),
+                     "--data", str(other), "--out", str(tmp / "d.csv")]) == 2
+        assert main(["aic", str(tmp / "a.json"), "--data", str(data),
+                     "--out", str(tmp / "cmp.csv")]) == 0
+
+
 class TestSampleAndSimulate:
     def test_sample_deterministic(self, workspace):
         tmp, data, spec, *_ = workspace
@@ -342,8 +364,36 @@ class TestGsmmCli:
         assert np.isfinite(t["caic_pql_corrected"][0])
 
 
+def old_write_table(path, rows, columns):
+    """The row-dict CSV writer that predict used before its columnar one."""
+    def fmt(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else v
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([fmt(row.get(c, "")) for c in columns])
+
+
+class TestWriteTable:
+    def test_columns_match_row_writer(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n = 50
+        cols = {"row": np.arange(n)}
+        for name in ("eta_0", "eta_1", "mu", "eta_0_lo", "eta_0_hi"):
+            cols[name] = rng.standard_normal(n) * 10.0 ** rng.integers(
+                -300, 300, n)
+        cols["eta_1"][:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+        rows = [{c: v[i] for c, v in cols.items()} for i in range(n)]
+        old_write_table(tmp_path / "old.csv", rows, list(cols))
+        write_table(tmp_path / "new.csv", cols)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+
+
 class TestLocationScaleCli:
-    def test_location_interval_ignores_scale_columns(self, tmp_path):
+    @pytest.fixture
+    def ls_fit(self, tmp_path):
         rng = np.random.default_rng(3)
         n = 300
         x = rng.uniform(-1, 1, n)
@@ -363,6 +413,43 @@ class TestLocationScaleCli:
                      "--out", str(art)]) == 0
         assert main(["predict", "--artifact", str(art), "--data", str(data),
                      "--out", str(tmp_path / "p.csv")]) == 0
+        return tmp_path, data, art
+
+    def test_predict_bytes_match_row_writer(self, ls_fit):
+        # the row dicts that predict built before writing by columns
+        tmp_path, data, art = ls_fit
+        from scipy.sparse import diags_array
+        from smoothfit.cli import RestoredFit
+        from smoothfit.families import get_link
+        from smoothfit.uncertainty import credible_intervals
+        restored = RestoredFit(json.loads(art.read_text()),
+                               sidecar_path=str(art) + ".cache.npz")
+        table = read_table(data)
+        n = len(table["x"])
+        X = restored.predict_rows(table)
+        slices = restored.param_slices()
+        rows = [{"row": i} for i in range(n)]
+        for m, sl in enumerate(slices):
+            eta = np.asarray(X[:, sl] @ restored.beta[sl])
+            for i in range(n):
+                rows[i][f"eta_{m}"] = eta[i]
+            if m == 0:
+                mu = get_link("identity").inverse(eta)
+                mask = np.zeros(X.shape[1])
+                mask[sl] = 1.0
+                _, lo, hi, _ = credible_intervals(
+                    restored, X @ diags_array(mask), level=0.95)
+                for i in range(n):
+                    rows[i]["mu"] = mu[i]
+                    rows[i]["eta_0_lo"] = lo[i]
+                    rows[i]["eta_0_hi"] = hi[i]
+        columns = ["row", "eta_0", "eta_1", "mu", "eta_0_lo", "eta_0_hi"]
+        old_write_table(tmp_path / "old.csv", rows, columns)
+        assert (tmp_path / "p.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+
+    def test_location_interval_ignores_scale_columns(self, ls_fit):
+        tmp_path, data, art = ls_fit
         p = read_table(tmp_path / "p.csv")
         from scipy.stats import norm
         from smoothfit.cli import RestoredFit

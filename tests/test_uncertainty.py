@@ -1,11 +1,16 @@
 """Regularization uncertainty, corrected edf, posterior utilities."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 
-from smoothfit import efs, uncertainty as unc
+from smoothfit import efs, sparsela, uncertainty as unc
 from smoothfit.design import ModelSpec, TermSpec, build_design
+from smoothfit.errors import IndefiniteError
+from smoothfit.families import Poisson, pseudo_data
 from smoothfit.simulate import draw_covariates, eta_fixed, to_unit
 
 
@@ -289,3 +294,221 @@ class TestPosteriorUtilities:
             target = f + (np.mean(y) - np.mean(f))
             cover.append(np.mean((target >= lo) & (target <= hi)))
         assert np.mean(cover) >= 0.85
+
+
+# ---------------------------------------------------------------------------
+# batched Monte Carlo refits against the per-draw reference
+# ---------------------------------------------------------------------------
+
+def poisson_fit(n=300, seed=21):
+    rng = np.random.default_rng(seed)
+    data = draw_covariates(rng, n)
+    eta = 0.3 * eta_fixed(data["v"], data["w"], data["x"], data["z"]) - 1.0
+    y = rng.poisson(np.exp(eta)).astype(float)
+    d = build_design(ModelSpec([TermSpec("intercept"),
+                                TermSpec("smooth", ["v"], k=8),
+                                TermSpec("smooth", ["x"], k=8)]), data)
+    return efs.fit_gam(d, y, Poisson())
+
+
+def dropped_column_fit():
+    """QR fit with a smooth of an exact copy of v: one column is dropped."""
+    rng = np.random.default_rng(0)
+    data = draw_covariates(rng, 300)
+    data["v2"] = data["v"].copy()
+    y = eta_fixed(data["v"], data["w"], data["x"], data["z"]) \
+        + rng.normal(0, 1.0, 300)
+    covs = ("v", "v2", "x")
+    spec = ModelSpec([TermSpec("intercept")]
+                     + [TermSpec("smooth", [c], k=8) for c in covs])
+    fit = efs.fit_additive(build_design(spec, data), y,
+                           efs.EFSControl(method="qr"))
+    assert fit.dropped
+    return fit
+
+
+FITS = {"am": lambda: gaussian_fit(n=250, seed=20)[0],
+        "gam_poisson": poisson_fit,
+        "dropped_column": dropped_column_fit}
+
+
+def loop_refit(fit, lams):
+    """One sparse SuperLU refit of the working model per draw, on the
+    retained columns: the per-draw path that the batched refit replaced."""
+    design = fit._design
+    keep = np.array([j for j in range(design.N_p) if j not in fit.dropped])
+    X = design.X_full
+    z, w = fit._y, None
+    if fit.engine == "gam":
+        mu = fit._link.inverse(np.asarray(X @ fit.beta))
+        z, w, _ = pseudo_data(fit._y, mu, fit._link, fit._family)
+    wq = np.ones(design.N) if w is None else w
+    Xk = sp.csc_array(X[:, keep])
+    A = Xk.T @ Xk.multiply(wq[:, None]) \
+        + design.S_lambda(lams)[keep][:, keep]
+    factor = sparsela.pivoted_cholesky(sp.csc_array(A))
+    beta = np.zeros(design.N_p)
+    beta[keep] = factor.solve(np.asarray(Xk.T @ (wq * z)))
+    tr_H = np.array([sparsela.trace_inv_form(factor,
+                                             design.D_root(r)[keep, :])
+                     for r in range(design.n_lambda)])
+    tau = keep.size - float(np.sum(lams * tr_H))
+    resid = np.sqrt(wq) * (z - np.asarray(X @ beta))
+    pen = float(np.asarray(lams) @ design.quad_forms(beta))
+    llk_work = float(0.5 * np.sum(np.log(wq))
+                     - 0.5 * design.N * np.log(2.0 * np.pi * fit.phi)
+                     - (float(resid @ resid) + pen) / (2.0 * fit.phi))
+    reml = efs.reml_value(design, factor, lams, llk_work, phi=fit.phi,
+                          n_active=keep.size)
+    return beta, tau, reml
+
+
+def loop_draws(fit, draws):
+    refits = [loop_refit(fit, np.exp(d)) for d in draws]
+    return (np.array([r[0] for r in refits]), np.array([r[1] for r in refits]),
+            np.array([r[2] for r in refits]))
+
+
+def loop_mc_gaussian(fit, n_r, seed):
+    rp = unc.rho_posterior(fit)
+    draws = unc._draw_rho(rp, n_r, np.random.default_rng(seed))
+    taus = loop_draws(fit, draws)[1]
+    vjh = unc._trace_VJH(fit, rp, fit._design)
+    return max(float(np.mean(taus)) + vjh, fit.edf + vjh)
+
+
+def loop_mc_general(fit, n_r, seed, proposal, prior, t_df=4):
+    """(tau', ess, weights, draws) with per-draw refits and per-draw
+    Hessian products."""
+    rp = unc.rho_posterior(fit)
+    draws = unc._draw_rho(rp, n_r, np.random.default_rng(seed),
+                          proposal=proposal, t_df=t_df)
+    betas, taus, remls = loop_draws(fit, draws)
+    keep = np.array([r for r in range(rp.rho_hat.size)
+                     if r not in rp.dropped_dims], dtype=np.int64)
+    logw = remls - np.max(remls)
+    if prior == "uniform-box" and keep.size:
+        Vk = rp.V_rho[np.ix_(keep, keep)]
+        Vi = np.linalg.pinv(Vk)
+        d = draws[:, keep] - rp.rho_hat[keep]
+        q = np.einsum("ij,jk,ik->i", d, Vi, d)
+        if proposal == "t":
+            logq = -0.5 * (t_df + keep.size) * np.log1p(q / t_df)
+        else:
+            logq = -0.5 * q
+        logw = logw - logq
+        logw = logw - np.max(logw)
+    w = np.exp(logw)
+    w = w / np.sum(w)
+    ess = 1.0 / float(np.sum(w ** 2))
+    scale = fit.covariance_scale()
+    hb = np.column_stack([fit.apply_Hllk(b) / scale for b in betas])
+    bbar = w @ betas
+    tau_prime = float(w @ taus) \
+        + float(np.sum(w * np.einsum("ij,ji->i", betas, hb))) \
+        - float(bbar @ fit.apply_Hllk(bbar)) / scale
+    vjh = unc._trace_VJH(fit, rp, fit._design)
+    return max(tau_prime, fit.edf + vjh), ess, w, draws
+
+
+def assert_rel(a, b, rtol=1e-10):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.abs(a - b).max() <= rtol * max(np.abs(b).max(), 1e-300)
+
+
+@pytest.fixture(scope="module", params=sorted(FITS))
+def mc_fit(request):
+    return FITS[request.param]()
+
+
+class TestBatchedRefit:
+    def test_draws_match_per_draw_refits(self, mc_fit):
+        rp = unc.rho_posterior(mc_fit)
+        draws = unc._draw_rho(rp, 30, np.random.default_rng(1),
+                              proposal="t")
+        betas, taus, remls = unc._refit_draws(mc_fit, np.exp(draws))
+        ref_b, ref_t, ref_r = loop_draws(mc_fit, draws)
+        for i in range(draws.shape[0]):
+            assert_rel(betas[i], ref_b[i])
+        assert_rel(taus, ref_t)
+        assert_rel(remls, ref_r)
+        assert np.all(betas[:, sorted(mc_fit.dropped)] == 0.0)
+
+    @pytest.mark.parametrize("name", ["am", "dropped_column"])
+    def test_refit_at_estimate_reproduces_fit(self, name):
+        fit = FITS[name]()
+        beta, tau, reml = unc._conditional_refit(fit, fit._design, fit.lam)
+        assert_rel(beta, fit.beta, rtol=1e-9)
+        assert abs(tau - fit.edf) <= 1e-10 * fit.edf
+        assert abs(reml - fit.reml) <= 1e-10 * abs(fit.reml)
+
+    @pytest.mark.parametrize("prior", ["proposal", "uniform-box"])
+    @pytest.mark.parametrize("proposal", ["normal", "t"])
+    def test_mc_general_matches_loop(self, mc_fit, prior, proposal):
+        tp, ess, _ = unc.mc_tau_general(mc_fit, n_r=40, seed=2,
+                                        proposal=proposal, prior=prior)
+        ref_tp, ref_ess, ref_w, draws = loop_mc_general(
+            mc_fit, 40, 2, proposal, prior)
+        assert_rel(tp, ref_tp)
+        assert_rel(ess, ref_ess)
+        remls = unc._refit_draws(mc_fit, np.exp(draws))[2]
+        w = unc._importance_weights(draws, remls, unc.rho_posterior(mc_fit),
+                                    proposal, prior)
+        np.testing.assert_allclose(w, ref_w, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("name", ["am", "dropped_column"])
+    def test_mc_gaussian_matches_loop(self, name):
+        fit = FITS[name]()
+        assert_rel(unc.mc_tau_gaussian(fit, n_r=40, seed=3),
+                   loop_mc_gaussian(fit, 40, 3))
+
+    def test_chunk_boundary(self, monkeypatch):
+        # 25 draws in chunks of 7: the last chunk is partial
+        fit, d, _, _ = gaussian_fit(n=250, seed=20)
+        rp = unc.rho_posterior(fit)
+        draws = unc._draw_rho(rp, 25, np.random.default_rng(4))
+        whole = unc._refit_draws(fit, np.exp(draws))
+        monkeypatch.setattr(unc, "REFIT_CHUNK_BYTES", 7 * 8 * d.N_p ** 2)
+        chunked = unc._refit_draws(fit, np.exp(draws))
+        ref = loop_draws(fit, draws)
+        for got, want, oracle in zip(chunked, whole, ref):
+            assert_rel(got, want, rtol=1e-13)
+            assert_rel(got, oracle)
+
+    def test_dropped_column_mc_caic(self):
+        # the per-draw refit factored the full system although the fit had
+        # dropped a column, and both Monte Carlo variants raised
+        fit = dropped_column_fit()
+        for variant in ("mc_gaussian", "mc_general"):
+            rep = unc.caic(fit, variant, n_r=30)
+            assert np.isfinite(rep.caic)
+            assert rep.tau_prime >= fit.edf - 1e-8
+
+    def test_indefinite_draw_names_its_pivot(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((3, 4, 8))
+        H = A @ np.swapaxes(A, 1, 2)
+        H[1, 2, 2] = -1.0
+        with pytest.raises(IndefiniteError) as err:
+            unc._batched_cholesky(H, np.array([0, 1, 3, 4]))
+        assert err.value.pivot == 3
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the EFS loop stops only on penalized "
+                   "deviance change; a null smooth's lambda keeps creeping "
+                   "and the fit hits max_outer=200")
+def test_efs_converges_with_creeping_null_smooth():
+    # the reduced model of the predict_select benchmark, seed 19, replicate 8
+    rng = np.random.default_rng([19, 3, 8])
+    data = draw_covariates(rng, 2000)
+    y = eta_fixed(data["v"], data["w"], data["x"], data["z"]) \
+        + rng.normal(0.0, math.sqrt(2.0), 2000)
+    spec = ModelSpec([TermSpec("intercept")]
+                     + [TermSpec("smooth", [c], k=10) for c in "vwz"])
+    fit = efs.fit_additive(build_design(spec, data), y)
+    max_outer = efs.EFSControl().max_outer
+    # any other way of failing is a real failure, not the pinned one; and a
+    # fit that converges must XPASS, so this check is no AssertionError
+    if not fit.converged and fit.iterations != max_outer:
+        pytest.fail(f"stopped unconverged after {fit.iterations} iterations")
+    assert fit.converged
