@@ -207,7 +207,8 @@ def save_artifact(path, artifact, fit=None, sidecar=True):
 
 
 def _save_sidecar(path, fit):
-    payload = {"engine": np.array(fit.engine), "phi": np.array(fit.phi)}
+    payload = {"engine": np.array(fit.engine), "phi": np.array(fit.phi),
+               "coefficients": np.asarray(fit.beta, dtype=float)}
     factor = fit._factor
     if isinstance(factor, sparsela.CholeskyFactor):
         L = factor.L
@@ -232,13 +233,18 @@ def _save_sidecar(path, fit):
     np.savez(path, **payload)
 
 
-def _load_sidecar(path, n_coef):
+def _load_sidecar(path, beta):
     """(factor, T, keep) from a sidecar written by :func:`_save_sidecar`.
 
-    Raises ValueError when the stored arrays do not fit together or do not
-    match the artifact's ``n_coef`` coefficients.
+    Raises ValueError when the stored arrays do not fit together, or when
+    the stored coefficients are not exactly the artifact's ``beta`` (the
+    sidecar of another fit), and KeyError when an array is missing.
     """
+    n_coef = beta.size
     with np.load(path, allow_pickle=False) as data:
+        if not np.array_equal(data["coefficients"], beta):
+            raise ValueError("stored coefficients differ from the "
+                             "artifact's")
         T = keep = None
         if "T_row" in data:
             T = sp.csc_array((data["T_val"], (data["T_row"], data["T_col"])),
@@ -298,7 +304,7 @@ class RestoredFit:
             return
         try:
             self.factor, self._T, self._keep = _load_sidecar(
-                sidecar_path, self.beta.size)
+                sidecar_path, self.beta)
         except FileNotFoundError:
             pass
         except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,

@@ -234,6 +234,7 @@ class PenalizedDesign:
         self._clusters = None
         self._emb_cache = {}
         self._root_cache = {}
+        self._trace_roots = None
 
     # --- spec-facing aliases -------------------------------------------------
     @property
@@ -331,6 +332,31 @@ class PenalizedDesign:
                                         np.concatenate(cols))),
                 shape=(self.N_p, ncol))
         return self._root_cache[r]
+
+    def trace_roots(self):
+        """``(B, widths)``: the nonzero columns of every D_root(r), dense and
+        side by side in r order, with each root's column count.
+
+        Computed once, so each trace tr(H_p^{-1} S^r) solves cached blocks
+        and all of them come from one blocked solve.
+        """
+        if self._trace_roots is None:
+            blocks = []
+            for r in range(self.n_lambda):
+                D = self.D_root(r)
+                blocks.append(D[:, np.flatnonzero(np.diff(D.indptr))]
+                              .toarray())
+            B = np.hstack(blocks) if blocks else np.zeros((self.N_p, 0))
+            widths = np.array([b.shape[1] for b in blocks], dtype=np.int64)
+            self._trace_roots = (B, widths)
+        return self._trace_roots
+
+    def root_cols(self, r):
+        """Dense nonzero columns of D_root(r): a view into
+        :meth:`trace_roots`."""
+        B, widths = self.trace_roots()
+        end = int(np.sum(widths[:r + 1]))
+        return B[:, end - widths[r]:end]
 
     def E_lambda(self, lams):
         """Root of the total penalty for the stacked-QR route."""

@@ -126,13 +126,10 @@ class FitState:
         """D P^T L^{-T} Z mapped to original coordinates (posterior sampler)."""
         return self._from_work(self._factor.half_tsolve_scatter(Z))
 
-    def trace_inv(self, r):
-        return sparsela.trace_inv_form(self._factor, self.work_design.D_root(r))
-
     def trace_inv_pair(self, j, l):
         return sparsela.trace_inv_pair(self._factor,
-                                       self.work_design.D_root(j),
-                                       self.work_design.D_root(l))
+                                       self.work_design.root_cols(j),
+                                       self.work_design.root_cols(l))
 
     @property
     def logdet_H(self):
@@ -166,39 +163,46 @@ class FitState:
 # ---------------------------------------------------------------------------
 
 class PenalizedSystem:
-    """Canonical sparsity pattern and cached symbolic factor of H_p.
+    """Canonical sparsity pattern, cached symbolic factor and cached penalty
+    values of ``base + S_lambda``.
 
-    The pattern of X^T W X + S_lambda (+ I) does not depend on the weights
-    or the regularization parameters, so the ordering and symbolic analysis
-    happen once per model.
+    ``base`` is the matrix whose pattern joins the penalties': X^T X of the
+    design by default, I for the quasi-Newton H0, and for the Newton engine
+    a pattern-only union of X^T X, H and I whose values go unused.  The
+    pattern depends neither on the weights nor on the regularization
+    parameters, so the ordering, the symbolic analysis and the values of
+    ``base`` and of every embedded S^r in the pattern's slots are computed
+    once per model; the values of base + S_lambda are then
+    ``base_vals + lams @ S_vals``.
     """
 
-    def __init__(self, design, with_identity=False, extra=None):
-        X = design.X_full
-        XtX = sp.csc_array(X.T @ X)
-        pattern = XtX.copy()
+    def __init__(self, design, base=None):
+        if base is None:
+            X = design.X_full
+            base = X.T @ X
+        base = sp.csc_array(base)
+        # absolute values: scipy's sparse add drops exact-zero sums, so a
+        # cancellation must not remove an entry from the pattern
+        pattern = abs(base)
         for r in range(design.n_lambda):
-            pattern = pattern + design.S_emb(r)
-        if extra is not None:
-            pattern = pattern + sp.csc_array(extra)
-        if with_identity:
-            pattern = pattern + sp.eye_array(design.N_p, format="csc")
-        pattern = sp.csc_array(pattern)
-        pattern.sort_indices()
+            pattern = pattern + abs(design.S_emb(r))
+        pattern = sparsela.as_csc(pattern)
         n = pattern.shape[0]
-        # column-major keys of the canonical pattern; scipy's sparse add
-        # drops exact-zero sums, so values are scattered by structure instead
+        # column-major keys of the canonical pattern; values are scattered
+        # into it by structure
         self._keys = pattern.indices.astype(np.int64) + n * np.repeat(
             np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
         self.n = n
         self.perm = sparsela.fill_reducing_permutation(pattern)
         self.symbolic = sparsela.SymbolicChol(pattern, self.perm)
-        self.XtX = XtX
+        self.base_vals = self.align_values(base)
+        self.S_vals = np.array([self.align_values(design.S_emb(r))
+                                for r in range(design.n_lambda)]).reshape(
+                                    design.n_lambda, self._keys.size)
 
     def align_values(self, A):
         """Scatter the entries of A into the canonical pattern's data slots."""
-        A = sp.csc_array(A)
-        A.sort_indices()
+        A = sparsela.as_csc(sp.csc_array(A))
         akeys = A.indices.astype(np.int64) + self.n * np.repeat(
             np.arange(self.n, dtype=np.int64), np.diff(A.indptr))
         pos = np.searchsorted(self._keys, akeys)
@@ -218,8 +222,10 @@ def solve_penalized(X, response, w, design, lams, method="cholesky",
                     system=None, perm=None):
     """Solve (X^T W X + S_lambda) beta = X^T W response.
 
-    The Cholesky path factors the assembled normal matrix with the cached
-    fill-reducing permutation; the QR path works on the stacked
+    The Cholesky path factors the normal matrix with the cached
+    fill-reducing permutation: with a ``system`` built on this design's
+    X^T X, its values are the cached ones plus the aligned X^T W X for
+    non-unit weights.  The QR path works on the stacked
     [sqrt(W) X; E_lambda^T] system and reports unidentifiable columns.
 
     Returns ``(beta, factor)``: ``beta`` is a 1-D array of length N_p, even
@@ -232,13 +238,15 @@ def solve_penalized(X, response, w, design, lams, method="cholesky",
         raise SpecError("negative working weights")
     rhs = np.asarray(X.T @ (w * np.asarray(response, dtype=float)))
     if method == "cholesky":
-        if unit_w and system is not None:
-            XtX = system.XtX
+        XtWX = None if unit_w else X.T @ X.multiply(w[:, None])
+        if system is None:
+            A = (X.T @ X if unit_w else XtWX) + design.S_lambda(lams)
+            factor = sparsela.pivoted_cholesky(sp.csc_array(A), perm=perm)
         else:
-            XtX = sp.csc_array(X.T @ X.multiply(w[:, None]))
-        A = XtX + design.S_lambda(lams)
-        factor = system.factor(A) if system is not None else \
-            sparsela.pivoted_cholesky(sp.csc_array(A), perm=perm)
+            base = system.base_vals if unit_w else \
+                system.align_values(XtWX)
+            factor = system.symbolic.factor(
+                base + np.asarray(lams, dtype=float) @ system.S_vals)
         return factor.solve(rhs), factor
     sw = np.sqrt(w)
     Xs = sp.csr_array(X.multiply(sw[:, None]))
@@ -305,8 +313,7 @@ def reml_grad(design, factor, lams, beta, phi=1.0):
     (grad, tr_S, tr_H, quads).
     """
     tr_S = design.trace_sinv(lams)
-    tr_H = np.array([sparsela.trace_inv_form(factor, design.D_root(r))
-                     for r in range(design.n_lambda)])
+    tr_H = sparsela.trace_inv_form(factor, *design.trace_roots())
     quads = np.array([float(beta @ (design.S_emb(r) @ beta))
                       for r in range(design.n_lambda)])
     return -quads / (2.0 * phi) + 0.5 * tr_S - 0.5 * tr_H, tr_S, tr_H, quads
@@ -314,18 +321,6 @@ def reml_grad(design, factor, lams, beta, phi=1.0):
 
 def _clip_lams(lams):
     return np.clip(lams, LAM_LO, LAM_HI)
-
-
-def _term_edfs(design, factor, w):
-    """Per-term effective degrees of freedom from diag(H_p^{-1} X^T W X)."""
-    X = design.X_full
-    Xw = X if w is None else X.multiply(np.asarray(w)[:, None])
-    dense = np.asarray(sp.csc_array(X.T @ Xw).todense())
-    sol = factor.solve(dense)
-    diag = np.einsum("ii->i", sol)
-    return {t.spec.name: float(np.sum(diag[t.col_start:
-                                           t.col_start + t.col_count]))
-            for t in design.terms}
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +521,15 @@ def _fit_working(design, y, family, link, control, engine):
                      "penalized_deviance": dev_pen},
         _design=design, _factor=factor, _weights=w, _family=family,
         _link=link, _y=yv)
-    state.term_edf = _term_edfs(design, factor, w)
+    # every S^r lies inside its term's column block, so a term's edf is its
+    # retained columns less its share of sum(lams * tr_H)
+    kept = np.ones(design.N_p, dtype=bool)
+    kept[sorted(wm.dropped)] = False
+    state.term_edf = {
+        t.spec.name: float(np.count_nonzero(
+            kept[t.col_start:t.col_start + t.col_count])
+            - sum(lams[r] * tr_H[r] for r in t.lam_indices))
+        for t in design.terms}
     return state
 
 
@@ -747,7 +750,10 @@ def newton_beta(design, family, lams, beta0=None, control=None, system=None,
         h_norm = sp.linalg.norm(H)
         Hp = sp.csc_array(H + S_lam)
         if system is None:
-            system = PenalizedSystem(design, with_identity=True, extra=H)
+            # pattern only: later Hessians and ridges stay inside it
+            X = design.X_full
+            system = PenalizedSystem(design, base=abs(X.T @ X) + abs(H)
+                                     + sp.eye_array(design.N_p))
         factor, eps = _factor_with_ridge(system, Hp, h_norm)
         delta = factor.solve(g)
         beta_new = beta + delta
@@ -781,8 +787,7 @@ def make_efs_safe(H, design, lams, system, factor, eps):
     eps_next = max(eps * 10.0, 1e-8 * h_norm, 1e-14)
     cap = 1e4 * max(h_norm, 1.0)
     while True:
-        tr_H = np.array([sparsela.trace_inv_form(factor, design.D_root(r))
-                         for r in range(design.n_lambda)])
+        tr_H = sparsela.trace_inv_form(factor, *design.trace_roots())
         if np.all(tr_S - tr_H >= -1e-12 * np.maximum(np.abs(tr_S), 1.0)):
             return factor, eps, tr_S, tr_H
         eps = eps_next

@@ -28,8 +28,8 @@ from scipy.optimize import line_search as _scipy_line_search
 from scipy.optimize._linesearch import LineSearchWarning
 
 from . import sparsela
-from .efs import (FitState, LAM_HI, LAM_LO, _clip_lams, efs_step,
-                  reml_value)
+from .efs import (FitState, LAM_HI, LAM_LO, PenalizedSystem, _clip_lams,
+                  efs_step, reml_value)
 from .errors import NumericError, SpecError
 
 #: Wolfe constants (sufficient increase / curvature) and Armijo backtracking
@@ -501,33 +501,6 @@ def _finite_diff_grad(llk, x, step):
     return g
 
 
-class _H0System:
-    """Cached symbolic factorization of the I/gamma + S_lambda pattern."""
-
-    def __init__(self, design):
-        pattern = sp.eye_array(design.N_p, format="csc")
-        for r in range(design.n_lambda):
-            pattern = pattern + design.S_emb(r)
-        pattern = sp.csc_array(pattern)
-        pattern.sort_indices()
-        n = design.N_p
-        self.n = n
-        self._keys = pattern.indices.astype(np.int64) + n * np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
-        perm = sparsela.fill_reducing_permutation(pattern)
-        self.symbolic = sparsela.SymbolicChol(pattern, perm)
-
-    def factor(self, A):
-        A = sp.csc_array(A)
-        A.sort_indices()
-        akeys = A.indices.astype(np.int64) + self.n * np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(A.indptr))
-        pos = np.searchsorted(self._keys, akeys)
-        vals = np.zeros(self._keys.size)
-        vals[pos] = A.data
-        return self.symbolic.factor(vals)
-
-
 def lqefs_fit(design, family, control=None):
     """Quasi-Newton estimation of coefficients and regularization weights.
 
@@ -557,7 +530,7 @@ def lqefs_fit(design, family, control=None):
         def grad(b):
             return _finite_diff_grad(llk, b, control.fd_step)
 
-    h0_system = _H0System(design)
+    h0_system = PenalizedSystem(design, base=sp.eye_array(n_p))
 
     beta = family.init_coef(design).astype(float)
     lams = np.ones(design.n_lambda)

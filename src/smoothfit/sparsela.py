@@ -1,13 +1,14 @@
 """Sparse linear-algebra layer: orderings, factorizations, trace kernels.
 
 Matrices are scipy CSC arrays.  The Cholesky route pivots for sparsity
-only, so the permutation is computed once per sparsity pattern in a
-pre-processing step and cached across refactorizations with new values
-(the pattern of a penalized normal matrix does not change with the
-regularization weights); the numeric factorization and its solves run in
-SuperLU.  The QR route works on the stacked, penalty-augmented system and
-detects dependent columns from small diagonal entries of R (Heath, 1982),
-with the row rotations in :mod:`smoothfit.kernels`.
+only: the permutation is SuperLU's multiple minimum degree ordering of the
+pattern of A + A^T, computed once per sparsity pattern and cached across
+refactorizations with new values (the pattern of a penalized normal matrix
+does not change with the regularization weights); the numeric
+factorization and its solves run in SuperLU.  The QR route works on the
+stacked, penalty-augmented system and detects dependent columns from small
+diagonal entries of R (Heath, 1982), with the row rotations in
+:mod:`smoothfit.kernels`.
 """
 
 import numpy as np
@@ -40,37 +41,24 @@ def check_symmetric(A, tol=1e-12):
 
 
 def fill_reducing_permutation(A):
-    """Minimum-degree ordering of a symmetric sparsity pattern.
+    """Fill-reducing ordering of a symmetric sparsity pattern.
 
-    Greedy elimination on the adjacency graph with deterministic index
-    tie-breaking; dense rows drift to the end of the ordering, which is
-    what keeps multi-level penalized normal matrices thin to factor.
+    SuperLU's multiple minimum degree ordering (Liu, 1985) of the pattern
+    of A + A^T.  The ordering only reads the pattern, so it is taken from a
+    factorization of that pattern with unit off-diagonal values and n on
+    the diagonal: strictly diagonally dominant, hence factored in that
+    order without pivoting.  Returns ``perm`` with ``perm[t]`` the original
+    index placed at position t.
     """
     A = as_csc(A)
     n = A.shape[0]
-    indptr, indices = A.indptr, A.indices
-    adj = [set() for _ in range(n)]
-    for j in range(n):
-        for i in indices[indptr[j]:indptr[j + 1]]:
-            if i != j:
-                adj[i].add(j)
-                adj[j].add(i)
-    alive = set(range(n))
-    order = np.empty(n, dtype=np.int64)
-    degs = np.array([len(a) for a in adj], dtype=np.int64)
-    for t in range(n):
-        v = min(alive, key=lambda u: (degs[u], u))
-        order[t] = v
-        alive.discard(v)
-        nb = adj[v]
-        for u in nb:
-            au = adj[u]
-            au.discard(v)
-            au |= nb
-            au.discard(u)
-            degs[u] = len(au)
-        adj[v] = set()
-    return order
+    P = sp.csc_array((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+    P = as_csc(P + P.T)
+    P.data[:] = 1.0
+    P = sp.csc_matrix(P + n * sp.eye_array(n, format="csc"))
+    lu = splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return np.argsort(lu.perm_c).astype(np.int64)
 
 
 class SymbolicChol:
@@ -249,16 +237,26 @@ def pivoted_cholesky(A, perm=None, dscale=None):
     return symbolic.factor(A.data, dscale=dscale)
 
 
-def trace_inv_form(factor, D_r):
-    """tr(A^{-1} S^r) where S^r = D_r D_r^T, as sum(B * A^{-1} B).
+def trace_inv_form(factor, D, widths=None):
+    """tr(A^{-1} S) where S = D D^T, as sum(B * A^{-1} B).
 
-    B holds the nonzero columns of ``D_r``, solved as one block; for an
+    B holds the nonzero columns of ``D``, solved as one block; for an
     embedded penalty root that is its rank, not the matrix dimension.
+    With ``widths``, ``D`` is a dense stack of roots D_r of those column
+    counts, side by side, and the result is the array of the traces
+    tr(A^{-1} D_r D_r^T), all from one solve.
     """
-    B = _dense_cols(D_r)
-    if B.shape[1] == 0:
-        return 0.0
-    return float(np.sum(B * factor.solve(B)))
+    if widths is None:
+        B = _dense_cols(D)
+        if B.shape[1] == 0:
+            return 0.0
+        return float(np.sum(B * factor.solve(B)))
+    B = np.asarray(D, dtype=float)
+    cols = np.sum(B * factor.solve(B), axis=0) if B.shape[1] \
+        else np.zeros(0)
+    ends = np.cumsum(widths)
+    return np.array([float(np.sum(cols[e - w:e]))
+                     for e, w in zip(ends, widths)])
 
 
 def trace_inv_pair(factor, D_j, D_l):

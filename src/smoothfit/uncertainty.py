@@ -22,6 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf
 from scipy.stats import norm
 
+from . import sparsela
 from .efs import reml_value
 from .errors import IndefiniteError, SpecError
 from .families import pseudo_data
@@ -97,7 +98,8 @@ def reml_hessian_rho(fit, design=None):
     quads = design.quad_forms(beta)
     tr_S = design.trace_sinv(lams_t)
     pair_S = design.trace_sinv_pair(lams_t)
-    tr_H = np.array([phi * fit.trace_inv(r) for r in range(n_l)])
+    tr_H = phi * sparsela.trace_inv_form(fit._factor,
+                                         *fit.work_design.trace_roots())
     A = np.zeros((n_l, n_l))
     for j in range(n_l):
         for l in range(j, n_l):
@@ -295,16 +297,10 @@ def _conditional_refit(fit, design, lams):
     beta0 = fit._to_work(fit.beta)
     beta_w, factor, eps, H, llk_pen, _llk, _conv, _sys = efs_mod.newton_beta(
         work, family, lams, beta0=beta0.copy(), max_iter=50)
-    tr_H = np.array([_trace_r(factor, work, r)
-                     for r in range(work.n_lambda)])
+    tr_H = sparsela.trace_inv_form(factor, *work.trace_roots())
     tau = work.N_p - float(np.sum(lams * tr_H))
     reml = reml_value(work, factor, lams, llk_pen, phi=1.0)
     return fit._from_work(beta_w), tau, reml
-
-
-def _trace_r(factor, design, r):
-    from . import sparsela
-    return sparsela.trace_inv_form(factor, design.D_root(r))
 
 
 def mc_tau_gaussian(fit, n_r=250, seed=0, rho_post=None, lower_bound=True):

@@ -221,6 +221,22 @@ class TestSidecar:
             workspace[0] / "m.json.cache.npz")
         self._check_degraded(workspace, art, caplog)
 
+    def test_sidecar_of_a_same_spec_fit_on_other_data(self, workspace,
+                                                       caplog):
+        tmp, _, spec, _, x, v, y = workspace
+        art = self._fit(workspace)
+        other = tmp / "other.csv"
+        write_csv(other, {"y": [float(t) for t in y + 0.5 * np.sin(3 * x)],
+                          "x": [float(t) for t in x],
+                          "v": [float(t) for t in v]})
+        assert main(["fit", "--data", str(other), "--spec", str(spec),
+                     "--engine", "am", "--out", str(tmp / "o.json")]) == 0
+        mine, theirs = json.loads(art.read_text()), \
+            json.loads((tmp / "o.json").read_text())
+        assert mine["n_coef"] == theirs["n_coef"]
+        (tmp / "o.json.cache.npz").replace(tmp / "m.json.cache.npz")
+        self._check_degraded(workspace, art, caplog)
+
 
 class TestAic:
     def test_identical_artifacts_zero_difference(self, workspace):

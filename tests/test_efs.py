@@ -45,6 +45,17 @@ def dense_reml(design, y, rho, phi=None):
     return llk_pen + 0.5 * lds - 0.5 * ldh
 
 
+def dense_term_edfs(design, factor, w):
+    """Per-term edf from the dense diag(H_p^{-1} X^T W X) (oracle)."""
+    X = design.X_full
+    Xw = X if w is None else X.multiply(np.asarray(w)[:, None])
+    dense = np.asarray(sp.csc_array(X.T @ Xw).todense())
+    diag = np.einsum("ii->i", factor.solve(dense))
+    return {t.spec.name: float(np.sum(diag[t.col_start:
+                                           t.col_start + t.col_count]))
+            for t in design.terms}
+
+
 class TestSolvePenalized:
     def test_identity_unpenalized(self):
         rng = np.random.default_rng(1)
@@ -232,7 +243,7 @@ class TestFitAdditive:
         lams = np.array([fit.lam[0], efs.LAM_HI])
         yi = d.to_internal(y)
         beta, factor = efs.solve_penalized(d.X_full, yi, None, d, lams)
-        edfs = efs._term_edfs(d, factor, None)
+        edfs = dense_term_edfs(d, factor, None)
         assert abs(edfs["f(z)"] - 1.0) < 0.05
 
     def test_matches_dense_oracle(self):
@@ -273,6 +284,76 @@ class TestFitAdditive:
             return out
         fit = efs.fit_additive(design, y)
         assert fit.converged
+
+
+def multilevel_fit(seed, n=2000, n_subj=10):
+    """Four smooths plus a random smooth of v over subjects."""
+    rng = np.random.default_rng(seed)
+    data = draw_covariates(rng, n)
+    subj = rng.permutation(np.arange(n) % n_subj)
+    data["subject"] = np.array([f"s{j:03d}" for j in subj])
+    eta = eta_fixed(data["v"], data["w"], data["x"], data["z"]) \
+        + rng.normal(0, 0.5, n_subj)[subj] * to_unit(data["v"])
+    spec = ModelSpec([TermSpec("intercept")]
+                     + [TermSpec("smooth", [c], k=10) for c in "vwxz"]
+                     + [TermSpec("random_smooth", ["v"], by_factor="subject",
+                                 k=10, penalty_order=1)])
+    return efs.fit_additive(build_design(spec, data),
+                            eta + rng.normal(0, np.sqrt(2.0), n))
+
+
+def poisson_gam_fit(n=300, seed=21):
+    rng = np.random.default_rng(seed)
+    data = draw_covariates(rng, n)
+    eta = 0.3 * eta_fixed(data["v"], data["w"], data["x"], data["z"]) - 1.0
+    y = rng.poisson(np.exp(eta)).astype(float)
+    d = build_design(ModelSpec([TermSpec("intercept"),
+                                TermSpec("smooth", ["v"], k=8),
+                                TermSpec("smooth", ["x"], k=8)]), data)
+    return efs.fit_gam(d, y, get_family("poisson"))
+
+
+def qr_dropped_column_fit():
+    """QR fit with smooths of v and of an exact copy of v: one column of the
+    copy is dropped."""
+    rng = np.random.default_rng(0)
+    data = draw_covariates(rng, 300)
+    data["v2"] = data["v"].copy()
+    y = eta_fixed(data["v"], data["w"], data["x"], data["z"]) \
+        + rng.normal(0, 1.0, 300)
+    spec = ModelSpec([TermSpec("intercept")]
+                     + [TermSpec("smooth", [c], k=8)
+                        for c in ("v", "v2", "x")])
+    fit = efs.fit_additive(build_design(spec, data), y,
+                           efs.EFSControl(method="qr"))
+    assert fit.dropped
+    return fit
+
+
+class TestTermEdfs:
+    """Term edfs from the fit's traces against the dense oracle."""
+
+    def _check(self, fit):
+        ref = dense_term_edfs(fit._design, fit._factor, fit._weights)
+        assert set(fit.term_edf) == set(ref)
+        for name, v in ref.items():
+            assert abs(fit.term_edf[name] - v) <= 1e-10 * max(abs(v), 1.0), \
+                (name, fit.term_edf[name], v)
+        total = sum(fit.term_edf.values())
+        assert abs(total - fit.edf) <= 1e-12 * fit.edf
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_multilevel(self, seed):
+        self._check(multilevel_fit(seed))
+
+    def test_poisson_gam(self):
+        self._check(poisson_gam_fit())
+
+    def test_qr_with_dropped_column(self):
+        fit = qr_dropped_column_fit()
+        self._check(fit)
+        # the dropped column's term counts its retained columns only
+        assert fit.term_edf["f(v2)"] < 7.0
 
 
 class TestFitGam:
@@ -432,7 +513,7 @@ class TestNewtonAndSafety:
         # PSD H: loop body never entered
         M = rng.standard_normal((6, 6))
         H_psd = sp.csc_array(M @ M.T)
-        system = efs.PenalizedSystem(d, with_identity=True, extra=H_psd)
+        system = efs.PenalizedSystem(d, base=H_psd + sp.eye_array(6))
         Hp = sp.csc_array(H_psd + d.S_lambda(lams))
         factor, eps0 = efs._factor_with_ridge(system, Hp,
                                               sp.linalg.norm(H_psd))
@@ -441,7 +522,7 @@ class TestNewtonAndSafety:
         assert eps == eps0
         # indefinite H: exit with every numerator non-negative
         H_ind = sp.csc_array(H_psd - 1.5 * np.eye(6))
-        system2 = efs.PenalizedSystem(d, with_identity=True, extra=H_ind)
+        system2 = efs.PenalizedSystem(d, base=H_ind + sp.eye_array(6))
         Hp2 = sp.csc_array(H_ind + d.S_lambda(lams))
         factor2, eps2 = efs._factor_with_ridge(system2, Hp2,
                                                sp.linalg.norm(H_ind))

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothfit import sparsela as sla
+from smoothfit.design import ModelSpec, TermSpec, build_design
 from smoothfit.errors import IndefiniteError, SpecError
+from smoothfit.simulate import draw_covariates
 
 
 def random_spd(rng, n, density=0.3, shift=None):
@@ -15,6 +17,67 @@ def random_spd(rng, n, density=0.3, shift=None):
                         data_sampler=rng.standard_normal)
     A = (M @ M.T).todense() + (shift if shift is not None else n) * np.eye(n)
     return sp.csc_array(np.asarray(A))
+
+
+def greedy_minimum_degree(A):
+    """Reference ordering: greedy minimum degree on the adjacency graph of
+    a symmetric pattern, ties broken by the lower index."""
+    A = sla.as_csc(A)
+    n = A.shape[0]
+    indptr, indices = A.indptr, A.indices
+    adj = [set() for _ in range(n)]
+    for j in range(n):
+        for i in indices[indptr[j]:indptr[j + 1]]:
+            if i != j:
+                adj[i].add(j)
+                adj[j].add(i)
+    alive = set(range(n))
+    order = np.empty(n, dtype=np.int64)
+    degs = np.array([len(a) for a in adj], dtype=np.int64)
+    for t in range(n):
+        v = min(alive, key=lambda u: (degs[u], u))
+        order[t] = v
+        alive.discard(v)
+        nb = adj[v]
+        for u in nb:
+            au = adj[u]
+            au.discard(v)
+            au |= nb
+            au.discard(u)
+            degs[u] = len(au)
+        adj[v] = set()
+    return order
+
+
+def penalized_normal_matrix(spec, data):
+    """X^T X + sum_r S^r + I of a design: SPD with the pattern the engines
+    analyze."""
+    d = build_design(spec, data)
+    A = d.X_full.T @ d.X_full + sp.eye_array(d.N_p)
+    for r in range(d.n_lambda):
+        A = A + d.S_emb(r)
+    return sp.csc_array(A)
+
+
+def multilevel_pattern(n=2000, n_subj=10, seed=0):
+    rng = np.random.default_rng(seed)
+    data = draw_covariates(rng, n)
+    data["subject"] = np.array([f"s{j:03d}" for j in
+                                rng.permutation(np.arange(n) % n_subj)])
+    spec = ModelSpec([TermSpec("intercept")]
+                     + [TermSpec("smooth", [c], k=10) for c in "vwxz"]
+                     + [TermSpec("random_smooth", ["v"], by_factor="subject",
+                                 k=10, penalty_order=1)])
+    return penalized_normal_matrix(spec, data)
+
+
+def eeg_pattern(n_series=20, rows=25):
+    """Intercept, smooth k=10 and random smooth k=20 over 25-row series."""
+    t = np.tile(np.linspace(0.0, 1.0, rows), n_series)
+    g = np.repeat([f"s{i:03d}" for i in range(n_series)], rows)
+    spec = ModelSpec([TermSpec("intercept"), TermSpec("smooth", ["t"], k=10),
+                      TermSpec("random_smooth", ["t"], by_factor="g", k=20)])
+    return penalized_normal_matrix(spec, {"t": t, "g": g})
 
 
 class TestFillReducingPermutation:
@@ -53,6 +116,35 @@ class TestFillReducingPermutation:
         p1 = sla.fill_reducing_permutation(A)
         p2 = sla.fill_reducing_permutation(A)
         np.testing.assert_array_equal(p1, p2)
+
+
+    @pytest.mark.parametrize("make", [multilevel_pattern, eeg_pattern])
+    def test_fill_equals_greedy_minimum_degree(self, make):
+        A = make()
+        p = sla.fill_reducing_permutation(A)
+        ref = sla.pivoted_cholesky(A, perm=greedy_minimum_degree(A))
+        assert sla.pivoted_cholesky(A, perm=p).nnz_L() == ref.nnz_L()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40),
+           st.floats(0.02, 0.5))
+    @example(0, 0, 0.1)
+    @example(0, 1, 0.1)
+    def test_random_patterns(self, seed, n, density):
+        rng = np.random.default_rng(seed)
+        A = random_spd(rng, n, density=density, shift=1.0)
+        p = sla.fill_reducing_permutation(A)
+        np.testing.assert_array_equal(np.sort(p), np.arange(n))
+        np.testing.assert_array_equal(sla.fill_reducing_permutation(A), p)
+        f = sla.pivoted_cholesky(A, perm=p)
+        Ad = A.toarray()
+        b = rng.standard_normal(n)
+        ref = np.linalg.solve(Ad, b)
+        np.testing.assert_allclose(f.solve(b), ref, rtol=0,
+                                   atol=1e-9 * max(np.abs(ref).max(initial=0),
+                                                   1.0))
+        logdet = np.linalg.slogdet(Ad)[1]
+        assert abs(f.logdet - logdet) <= 1e-10 * max(abs(logdet), 1.0)
 
 
 class TestPivotedCholesky:
@@ -277,6 +369,46 @@ class TestTraces:
         Dl = rng.standard_normal((40, 3))
         ref = np.trace(Ainv @ (Dj @ Dj.T) @ Ainv @ (Dl @ Dl.T))
         assert abs(sla.trace_inv_pair(f, Dj, Dl) - ref) <= 1e-9 * abs(ref)
+
+
+    @staticmethod
+    def _roots(rng, n, widths):
+        return [rng.standard_normal((n, w)) for w in widths]
+
+    def _check_blocked(self, f, Ainv, roots):
+        widths = [D.shape[1] for D in roots]
+        B = np.hstack(roots)
+        got = sla.trace_inv_form(f, B, widths)
+        assert got.shape == (len(roots),)
+        for t, D in zip(got, roots):
+            ref = np.trace(Ainv @ (D @ D.T))
+            assert abs(t - ref) <= 1e-10 * max(abs(ref), 1.0), (t, ref)
+            assert abs(t - sla.trace_inv_form(f, D)) <= 1e-12 * max(t, 1.0)
+
+    def test_blocked_with_preconditioned_factor(self):
+        rng, A, Ad, perm, dscale = _spd_case(3, 30, 0.2)
+        f = sla.pivoted_cholesky(A, perm=perm, dscale=dscale)
+        self._check_blocked(f, np.linalg.inv(Ad),
+                            self._roots(rng, 30, [4, 0, 7, 1]))
+
+    def test_blocked_with_dropped_qr_columns(self):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((50, 6))
+        X = np.hstack([X, X[:, [2]]])              # column 6 copies column 2
+        E = np.zeros((7, 2))
+        E[0, 0], E[4, 1] = 1.0, 0.5
+        f = sla.penalized_qr(sp.csr_array(X), sp.csc_array(E))
+        assert len(f.dropped) == 1
+        keep = [j for j in range(7) if j not in f.dropped]
+        A = X.T @ X + E @ E.T
+        Ainv = np.zeros((7, 7))
+        Ainv[np.ix_(keep, keep)] = np.linalg.inv(A[np.ix_(keep, keep)])
+        self._check_blocked(f, Ainv, self._roots(rng, 7, [3, 0, 2]))
+
+    def test_blocked_all_empty(self):
+        f = sla.pivoted_cholesky(sp.eye_array(5, format="csc"))
+        got = sla.trace_inv_form(f, np.zeros((5, 0)), [0, 0])
+        np.testing.assert_array_equal(got, [0.0, 0.0])
 
 
 class TestPenalizedQR:
