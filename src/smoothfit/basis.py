@@ -204,8 +204,9 @@ def absorb_sumtozero(X, S):
     """Absorb the sum-to-zero constraint 1^T X beta = 0 into the basis.
 
     ``S`` may be a single :class:`PenaltyCore` or a list of them (tensor
-    terms); the same k x (k-1) null-space transform is applied to every
+    terms); the same k x (k-1) null-space transform Z is applied to every
     penalty so quadratic forms are preserved on the constrained space.
+    Returns ``(block, cores, Z)``.
     """
     if X.values.shape[1] < 2:
         raise SpecError("cannot constrain a basis with fewer than 2 columns")
@@ -215,7 +216,7 @@ def absorb_sumtozero(X, S):
                        covariate_names=list(X.covariate_names))
     single = isinstance(S, PenaltyCore)
     cores_out = transform_cores([S] if single else list(S), Z)
-    return block, (cores_out[0] if single else cores_out)
+    return block, (cores_out[0] if single else cores_out), Z
 
 
 def demmler_reinsch(X, S):

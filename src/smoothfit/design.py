@@ -236,23 +236,6 @@ class PenalizedDesign:
         self._root_cache = {}
         self._trace_roots = None
 
-    # --- spec-facing aliases -------------------------------------------------
-    @property
-    def penalties(self):
-        """Embedded matrices, one per penalty block (many-to-one on lambda)."""
-        return [embed_penalty(b.core, b.offset, self.N_p)
-                for b in self.penalty_blocks]
-
-    @property
-    def lambda_map(self):
-        return np.array([b.lam_index for b in self.penalty_blocks],
-                        dtype=np.int64)
-
-    @property
-    def coef_offsets(self):
-        return {t.spec.name: (t.col_start, t.col_start + t.col_count)
-                for t in self.terms}
-
     @property
     def clusters(self):
         if self._clusters is None:
@@ -548,9 +531,8 @@ def _build_term(t, data, n, term_index):
         block, cores, knots, degrees = _marginal_product(t, data)
         if isinstance(cores, PenaltyCore):
             cores = [cores]
-        Z = basis_mod._null_complement(block.values.sum(axis=0))
-        vals = block.values @ Z
-        cores = basis_mod.transform_cores(cores, Z)
+        block, cores, Z = basis_mod.absorb_sumtozero(block, cores)
+        vals = block.values
         art = TermArtifact(spec=t, col_start=0, col_count=vals.shape[1],
                            knots=knots, degrees=degrees, constraint=Z)
         pens = [(core, j, 0) for j, core in enumerate(cores)]
@@ -562,10 +544,8 @@ def _build_term(t, data, n, term_index):
         block, cores, knots, degrees = _marginal_product(t, data)
         if isinstance(cores, PenaltyCore):
             cores = [cores]
-        Z = basis_mod._null_complement(block.values.sum(axis=0))
-        vals = block.values @ Z
-        cores = basis_mod.transform_cores(cores, Z)
-        X, offs = _level_blocks(vals, fac, levels)
+        block, cores, Z = basis_mod.absorb_sumtozero(block, cores)
+        X, offs = _level_blocks(block.values, fac, levels)
         pens = []
         for lvl_i in range(len(levels)):
             for j, core in enumerate(cores):

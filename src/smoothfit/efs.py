@@ -18,7 +18,6 @@ engines share the sparse factorization layer and the trace identities
 tr(S_lambda^- S^r) and tr(H_p^{-1} S^r) the update is built from.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,6 @@ from . import sparsela
 from .design import PenalizedDesign, balanced_penalty
 from .errors import IndefiniteError, NumericError, SpecError
 from .families import Gaussian, IdentityLink, pseudo_data
-
-logger = logging.getLogger(__name__)
 
 RHO_LO, RHO_HI = -12.0, 12.0
 LAM_LO, LAM_HI = np.exp(RHO_LO), np.exp(RHO_HI)
@@ -254,14 +251,6 @@ def solve_penalized(X, response, w, design, lams, method="cholesky",
     factor = sparsela.penalized_qr(Xs, E,
                                    perm=system.perm if system else perm)
     return factor.solve(rhs), factor
-
-
-def trace_Sinv_Sr(design, lams):
-    """tr(S_lambda^- S^r) for every regularization parameter."""
-    lams = np.asarray(lams, dtype=float)
-    if np.any(lams <= 0):
-        raise SpecError("regularization parameters must be positive")
-    return design.trace_sinv(lams)
 
 
 def efs_step(lam_r, tr_S, tr_H, quad, phi=1.0):
@@ -601,18 +590,15 @@ def transformed_design(design, stab):
                            design.n_lambda, sort_factor=design.sort_factor)
 
 
-def detect_unidentifiable(H, design, restrict=False, method="qr",
-                          drop_tol=1e-7, max_foster=10):
+def detect_unidentifiable(H, design, restrict=False, drop_tol=1e-7):
     """Coefficients that stay unidentifiable regardless of regularization.
 
-    Works on the balanced, scale-free matrix
-    H/||H||_F + S_bal/||S_bal||_F.  The default is a dense column-pivoted
-    QR; the alternative walks smallest-singular-vector estimates from a
-    threshold-pivoted LU (Foster, 1986; Gotsman-style U reuse) and falls
-    back to the QR route after ``max_foster`` fruitless rounds.
-    ``restrict`` limits the interrogation to parametric terms and smooths
-    with a non-trivial penalty kernel, since fully penalized random terms
-    cannot cause lambda-independent rank deficiency.
+    A dense column-pivoted QR of the balanced, scale-free matrix
+    H/||H||_F + S_bal/||S_bal||_F flags the columns whose diagonal entry
+    of R falls below ``drop_tol`` times the first.  ``restrict`` limits
+    the interrogation to parametric terms and smooths with a non-trivial
+    penalty kernel, since fully penalized random terms cannot cause
+    lambda-independent rank deficiency.
     """
     H = sparsela.as_csc(sp.csc_array(H))
     Sb = balanced_penalty(design)
@@ -632,23 +618,6 @@ def detect_unidentifiable(H, design, restrict=False, method="qr",
     if cols.size == 0:
         return set()
     A = np.asarray(HS[np.ix_(cols, cols)].todense())
-
-    if method == "lu":
-        keep = list(range(A.shape[0]))
-        for _ in range(max_foster):
-            sub = A[np.ix_(keep, keep)]
-            lur = sparsela.stable_lu_rank(sp.csc_array(sub))
-            if lur.flagged:
-                break
-            sigma, v = lur.smallest_singular_pair()
-            if v is None:
-                break
-            scale = np.linalg.norm(sub, ord=1)
-            if sigma > drop_tol * scale:
-                return {int(cols[j]) for j in range(A.shape[0])
-                        if j not in keep}
-            keep.pop(int(np.argmax(np.abs(v))))
-        logger.info("LU rank interrogation inconclusive; using pivoted QR")
 
     _, Rq, piv = dense_qr(A, mode="economic", pivoting=True)
     diag = np.abs(np.diag(Rq))

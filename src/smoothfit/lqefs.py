@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, eigh, lu_factor, lu_solve, \
+from scipy.linalg import cholesky, eigh, lu_factor, lu_solve, \
     solve_triangular
 import warnings
 
@@ -219,10 +219,6 @@ def compact_push(rep, pair):
                       rep.gamma, skipped=rep.skipped + 1)
 
 
-def compact_matvec(rep, a):
-    return rep.matvec(np.asarray(a, dtype=float))
-
-
 def implicit_nearest_psd(h_rep):
     """Frobenius-nearest PSD projection of an SR1 Hessian representation.
 
@@ -401,10 +397,7 @@ class DenseUpperFactor:
     def __init__(self, R):
         self.R = R
         self.n = R.shape[0]
-        diag = np.abs(np.diag(R))
-        if np.any(diag == 0.0):
-            raise NumericError("compact Cholesky produced a zero pivot")
-        self.logdet = 2.0 * float(np.sum(np.log(diag)))
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(R))))
         self.dscale = None
 
     def solve(self, b):
@@ -425,40 +418,23 @@ class DenseUpperFactor:
 
 
 def cholesky_of_compact(h_rep, S_lambda):
-    """Triangular factor of H_hat + S_lambda from the compact blocks.
+    """Upper Cholesky factor of H_hat + S_lambda.
 
-    Stacked row-wise QR of [K^T; E_+^T Q^T] handles the positive part of
-    the small inner matrix; indefinite inner matrices are sign-split and
-    the negative part removed by rank-one downdates.
+    The compact blocks are assembled into the dense N_p x N_p matrix
+    base I + S_lambda + outer sym(inner) outer^T, which LAPACK factors;
+    an inner matrix of either sign is fine as long as the sum is positive
+    definite.
     """
-    from . import kernels
     base, outer, inner = h_rep.blocks()
-    n_p = h_rep.n_p
-    H0 = sp.csc_array(base * sp.eye_array(n_p, format="csc") +
-                      sp.csc_array(S_lambda))
-    f0 = sparsela.pivoted_cholesky(H0)
-    L = f0.L
-    # K = P^T L so that K K^T = H0 (row indices mapped back through perm)
-    K = sp.csc_array((L.data, f0.perm[L.indices], L.indptr), shape=L.shape)
-    rows = [sp.csr_array(K.T)]
-    evals, W = eigh(0.5 * (inner + inner.T)) if inner.size else \
-        (np.zeros(0), np.zeros((0, 0)))
-    pos = evals > 0
-    neg = evals < 0
-    if np.any(pos):
-        Epos = W[:, pos] * np.sqrt(evals[pos])
-        rows.append(sp.csr_array((outer @ Epos).T))
-    stacked = sp.vstack(rows, format="csr")
-    R = np.zeros((n_p, n_p))
-    kernels.qr_insert_rows(R, stacked.indptr.astype(np.int64),
-                           stacked.indices.astype(np.int64),
-                           stacked.data.astype(float), stacked.shape[0])
-    if np.any(neg):
-        Eneg = outer @ (W[:, neg] * np.sqrt(-evals[neg]))
-        for j in range(Eneg.shape[1]):
-            if kernels.chol_downdate(R, Eneg[:, j].copy()) != 0:
-                raise NumericError("penalized quasi-Newton Hessian is not "
-                                   "positive definite")
+    H = sp.csc_array(S_lambda).toarray()
+    H[np.diag_indices_from(H)] += base
+    if inner.size:
+        H += outer @ (0.5 * (inner + inner.T)) @ outer.T
+    try:
+        R = cholesky(H, lower=False, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("penalized quasi-Newton Hessian is not "
+                           "positive definite") from exc
     return DenseUpperFactor(R)
 
 

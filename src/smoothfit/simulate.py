@@ -27,9 +27,8 @@ import time
 import numpy as np
 
 from .design import ModelSpec, TermSpec, build_design
-from .efs import EFSControl, fit_additive, fit_gsmm
+from .efs import EFSControl, fit_additive
 from .errors import SpecError
-from .families import CoxphFamily
 from .lqefs import LqefsControl, lqefs_fit
 from .uncertainty import caic
 
@@ -256,24 +255,6 @@ def run_replicate_s5(seed, e, n=500, phi=2.0, n_levels=40, n_r=250,
     row = {"study": "s5", "seed": seed, "e": e, "n": n}
     row.update(_selection_row(fit_c, fit_r, variants, n_r, seed))
     return [row]
-
-
-def run_replicate_hazard(seed, n=500, nv=30):
-    """One proportional-hazard replicate fitted by both exact and
-    quasi-Newton engines; reports the linear-predictor correlation."""
-    rng = np.random.default_rng(seed)
-    data, eta, t = gen_hazard(rng, n, k=1)
-    design = build_design(ModelSpec([TermSpec("smooth", ["x"], k=10)]), data)
-    fam = CoxphFamily(t, np.ones(n))
-    fit_g = fit_gsmm(design, fam)
-    design2 = build_design(ModelSpec([TermSpec("smooth", ["x"], k=10)]), data)
-    fam2 = CoxphFamily(t, np.ones(n))
-    fit_l = lqefs_fit(design2, fam2, LqefsControl(n_v=nv, seed=seed))
-    e_g = np.asarray(design.X_full @ fit_g.beta)
-    e_l = np.asarray(design2.X_full @ fit_l.beta)
-    corr = float(np.corrcoef(e_g, e_l)[0, 1])
-    return [{"study": "hazard", "seed": seed, "n": n, "eta_corr": corr,
-             "rho_gsmm": float(fit_g.rho[0]), "rho_lqefs": float(fit_l.rho[0])}]
 
 
 def replicate_seeds(master_seed, replicates):

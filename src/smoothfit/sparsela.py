@@ -5,18 +5,16 @@ only: the permutation is SuperLU's multiple minimum degree ordering of the
 pattern of A + A^T, computed once per sparsity pattern and cached across
 refactorizations with new values (the pattern of a penalized normal matrix
 does not change with the regularization weights); the numeric
-factorization and its solves run in SuperLU.  The QR route works on the
-stacked, penalty-augmented system and detects dependent columns from small
-diagonal entries of R (Heath, 1982), with the row rotations in
-:mod:`smoothfit.kernels`.
+factorization and its solves run in SuperLU.  The QR route takes a LAPACK
+QR of the stacked, penalty-augmented system and detects dependent columns
+from small diagonal entries of R (Heath, 1982).
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 from scipy.sparse.linalg import splu, spsolve_triangular
 
-from . import kernels
 from .errors import IndefiniteError, SpecError
 
 #: Heath drop threshold: |R_jj| below this fraction of the largest diagonal
@@ -283,7 +281,7 @@ class QRFactor:
     ``R^T R`` reproduces the penalized normal matrix on retained columns.
     Columns whose diagonal entry of R falls below ``drop_tol`` times the
     largest diagonal are reported in ``dropped`` (original indices) and
-    excluded from solves; their trailing row mass is rotated back into R so
+    excluded from solves; their trailing row mass is folded back into R so
     the retained block stays consistent.
     """
 
@@ -293,9 +291,8 @@ class QRFactor:
         self._R = R
         self.drop_tol = drop_tol
         self.dropped = {int(self.perm[j]) for j in dropped_perm}
-        self._keep = np.array(
-            [j for j in range(self.n) if j not in set(dropped_perm)],
-            dtype=np.int64)
+        self._keep = np.setdiff1d(np.arange(self.n, dtype=np.int64),
+                                  dropped_perm)
         diag = R[self._keep, self._keep]
         self.logdet = 2.0 * float(np.sum(np.log(diag)))
         self.dscale = None
@@ -350,12 +347,25 @@ class QRFactor:
         return int(np.count_nonzero(np.triu(self._R)))
 
 
+def _qr_r(A):
+    """R of a dense QR of A (at least as many rows as columns), with the
+    rows flipped so that its diagonal is non-negative."""
+    R = qr(A, mode="r", overwrite_a=True, check_finite=False)[0][:A.shape[1]]
+    R[np.diag(R) < 0.0] *= -1.0
+    return R
+
+
 def penalized_qr(X, E_lambda, perm=None, drop_tol=HEATH_DROP_RTOL):
     """QR of the stacked [X; E_lambda^T] with dependent-column detection.
 
     ``E_lambda`` must satisfy E E^T = S_lambda.  Column order follows the
     fill-reducing permutation of the normal-matrix pattern so the factor
-    matches the Cholesky route's.
+    matches the Cholesky route's.  The rows are folded into R by LAPACK in
+    blocks of N_p, so the work array stays N_p x N_p.  Heath's rule then
+    drops column j when R_jj falls below ``drop_tol`` times the largest
+    diagonal: row j is zeroed and its tail re-triangularized into the
+    trailing block, which only changes rows below j, so one forward pass
+    finds every dropped column.
     """
     X = sp.csr_array(X)
     n_p = X.shape[1]
@@ -369,36 +379,22 @@ def penalized_qr(X, E_lambda, perm=None, drop_tol=HEATH_DROP_RTOL):
     if perm is None:
         G = stacked.T @ stacked
         perm = fill_reducing_permutation(G)
-    iperm = np.empty(n_p, dtype=np.int64)
-    iperm[perm] = np.arange(n_p)
-    cols = iperm[stacked.indices]
+    stacked = sp.csr_array(stacked[:, perm])
     R = np.zeros((n_p, n_p))
-    kernels.qr_insert_rows(R, stacked.indptr.astype(np.int64),
-                           cols.astype(np.int64),
-                           stacked.data.astype(float), stacked.shape[0])
-    scale = float(np.max(np.abs(np.diag(R)))) if n_p else 0.0
+    for start in range(0, stacked.shape[0], max(n_p, 1)):
+        R = _qr_r(np.vstack([R, stacked[start:start + n_p].toarray()]))
+    scale = float(np.max(np.diag(R))) if n_p else 0.0
     if scale == 0.0:
         raise SpecError("all columns flagged unidentifiable")
     dropped = []
-    changed = True
-    while changed:
-        changed = False
-        diag = np.abs(np.diag(R))
-        for j in range(n_p):
-            if j in dropped:
-                continue
-            if diag[j] < drop_tol * scale:
-                tail = R[j, j + 1:].copy()
-                R[j, j:] = 0.0
-                dropped.append(j)
-                nzc = np.flatnonzero(tail)
-                if nzc.size:
-                    rp = np.array([0, nzc.size], dtype=np.int64)
-                    kernels.qr_insert_rows(R, rp,
-                                           (nzc + j + 1).astype(np.int64),
-                                           tail[nzc], 1)
-                changed = True
-                break
+    for j in range(n_p):
+        if R[j, j] < drop_tol * scale:
+            tail = R[j, j + 1:].copy()
+            R[j, j:] = 0.0
+            dropped.append(j)
+            if np.any(tail):
+                R[j + 1:, j + 1:] = _qr_r(np.vstack([R[j + 1:, j + 1:],
+                                                     tail]))
     if len(dropped) == n_p:
         raise SpecError("all columns flagged unidentifiable")
     return QRFactor(R, perm, dropped, drop_tol)
@@ -459,54 +455,3 @@ def condition_estimate(factor, iters=15, seed=0):
         smin = 1.0 / ny
         x = y / ny
     return float(smax / smin)
-
-
-class LURankFactor:
-    """Threshold-pivoted sparse LU used for cheap rank interrogation.
-
-    ``U`` carries the kernel information of a symmetric matrix; the
-    smallest-singular-pair estimate drives Foster-style elimination of
-    dependent columns.  ``flagged`` is True when the factorization could
-    not be completed (structural singularity) and the caller must fall
-    back to the dense pivoted-QR route.
-    """
-
-    def __init__(self, A):
-        A = as_csc(A)
-        self.n = A.shape[0]
-        self.flagged = False
-        self._lu = None
-        try:
-            self._lu = splu(sp.csc_matrix(A), diag_pivot_thresh=0.5,
-                            options=dict(SymmetricMode=True))
-            if np.any(self._lu.U.diagonal() == 0.0):
-                self.flagged = True
-        except RuntimeError:
-            self.flagged = True
-
-    @property
-    def U(self):
-        return None if self._lu is None else sp.csc_array(self._lu.U)
-
-    def smallest_singular_pair(self, iters=20, seed=0):
-        """(sigma_min estimate, v) by inverse iteration through the factor."""
-        if self.flagged:
-            return 0.0, None
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(self.n)
-        x /= np.linalg.norm(x)
-        sigma = np.inf
-        for _ in range(iters):
-            y = self._lu.solve(x)
-            ny = np.linalg.norm(y)
-            if not np.isfinite(ny) or ny == 0.0:
-                self.flagged = True
-                return 0.0, None
-            sigma = 1.0 / ny
-            x = y / ny
-        return float(sigma), x
-
-
-def stable_lu_rank(A):
-    """LU-based route to the smallest singular value and vector of A."""
-    return LURankFactor(A)

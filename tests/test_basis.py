@@ -203,9 +203,12 @@ class TestSumToZero:
         rng = np.random.default_rng(1)
         b = basis.bspline_basis(rng.uniform(0, 2, 120), k=10, degree=3)
         p = basis.difference_penalty(10, 2)
-        bc, pc = basis.absorb_sumtozero(b, p)
-        assert bc.k == 9 and pc.k == 9
+        bc, pc, Z = basis.absorb_sumtozero(b, p)
+        assert bc.k == 9 and pc.k == 9 and Z.shape == (10, 9)
         np.testing.assert_allclose(bc.values.sum(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_array_equal(bc.values, b.values @ Z)
+        np.testing.assert_allclose(pc.matrix, Z.T @ p.matrix @ Z,
+                                   atol=1e-12)
 
     def test_reproduces_unconstrained_fit(self):
         # constrained fit plus intercept equals the unconstrained
@@ -215,7 +218,7 @@ class TestSumToZero:
         y = np.sin(2 * np.pi * x) + rng.normal(0, 0.1, 60)
         b = basis.bspline_basis(x, k=8, degree=3)
         p = basis.difference_penalty(8, 2)
-        bc, _ = basis.absorb_sumtozero(b, p)
+        bc, _, _ = basis.absorb_sumtozero(b, p)
         X_unc = b.values
         X_con = np.column_stack([np.ones(60), bc.values])
         fit_unc = X_unc @ np.linalg.lstsq(X_unc, y, rcond=None)[0]

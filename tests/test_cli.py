@@ -2,8 +2,6 @@
 
 import csv
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -481,39 +479,3 @@ class TestLocationScaleCli:
         half = 0.5 * (p["eta_0_hi"] - p["eta_0_lo"])
         np.testing.assert_allclose(half, norm.ppf(0.975) * np.sqrt(var0),
                                    rtol=1e-8)
-
-
-class TestNumpyFallbackBackend:
-    def test_kernels_agree_with_numba(self, tmp_path):
-        # run a small fit in a subprocess with the numpy backend and compare
-        # coefficients against the in-process (numba) result
-        code = (
-            "import numpy as np\n"
-            "from smoothfit.design import ModelSpec, TermSpec, build_design\n"
-            "from smoothfit import efs, backend_name\n"
-            "rng = np.random.default_rng(0)\n"
-            "x = rng.uniform(-1, 1, 120)\n"
-            "y = np.sin(2 * x) + rng.normal(0, 0.3, 120)\n"
-            "d = build_design(ModelSpec([TermSpec('intercept'),"
-            "TermSpec('smooth', ['x'], k=8)]), {'x': x})\n"
-            "fit = efs.fit_additive(d, y)\n"
-            "print(backend_name())\n"
-            "print(repr(fit.beta.tolist()))\n"
-        )
-        import os
-        env = dict(os.environ, SMOOTHFIT_NUMBA="0")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        lines = out.stdout.strip().splitlines()
-        assert lines[0] == "numpy"
-        beta_np = np.array(eval(lines[1]))
-        rng = np.random.default_rng(0)
-        from smoothfit.design import ModelSpec, TermSpec, build_design
-        from smoothfit import efs
-        x = rng.uniform(-1, 1, 120)
-        y = np.sin(2 * x) + rng.normal(0, 0.3, 120)
-        d = build_design(ModelSpec([TermSpec("intercept"),
-                                    TermSpec("smooth", ["x"], k=8)]),
-                         {"x": x})
-        fit = efs.fit_additive(d, y)
-        np.testing.assert_allclose(fit.beta, beta_np, atol=1e-10)

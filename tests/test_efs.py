@@ -107,12 +107,12 @@ def _ridge_design(k):
 class TestTraceAndStep:
     def test_single_penalty_rank_over_lambda(self):
         design, _, _, _ = gaussian_problem()
-        got = efs.trace_Sinv_Sr(design, np.array([2.0, 2.0]))
-        np.testing.assert_allclose(got, [8.0 / 2.0 - 0.0] * 0 + [4.0, 4.0])
+        got = design.trace_sinv(np.array([2.0, 2.0]))
+        np.testing.assert_allclose(got, [4.0, 4.0])
 
     def test_identity_penalty(self):
         d = _ridge_design(5)
-        np.testing.assert_allclose(efs.trace_Sinv_Sr(d, np.array([10.0])),
+        np.testing.assert_allclose(d.trace_sinv(np.array([10.0])),
                                    [0.5])
 
     def test_efs_step_examples(self):
@@ -328,6 +328,38 @@ def qr_dropped_column_fit():
                            efs.EFSControl(method="qr"))
     assert fit.dropped
     return fit
+
+
+def multilevel_problem(n=600, n_subj=3, seed=0):
+    """Four smooths plus a per-subject random smooth of v: the shape of the
+    benchmark's multilevel input at a small size."""
+    rng = np.random.default_rng(seed)
+    data = draw_covariates(rng, n)
+    subj = rng.permutation(np.arange(n) % n_subj)
+    eta = eta_fixed(data["v"], data["w"], data["x"], data["z"])
+    u = to_unit(data["v"])
+    for j in range(n_subj):
+        a, b = rng.normal(0.0, 0.6, 2)
+        rows = subj == j
+        eta[rows] += a * np.sin(np.pi * u[rows]) + b * np.cos(np.pi * u[rows])
+    data["subject"] = np.array([f"s{j:03d}" for j in subj])
+    y = eta + rng.normal(0.0, np.sqrt(2.0), n)
+    spec = ModelSpec([TermSpec("intercept")]
+                     + [TermSpec("smooth", [c], k=10) for c in "vwxz"]
+                     + [TermSpec("random_smooth", ["v"], by_factor="subject",
+                                 k=10, penalty_order=1)])
+    return build_design(spec, data), y
+
+
+class TestQRRoute:
+    def test_multilevel_matches_cholesky(self):
+        design, y = multilevel_problem()
+        chol = efs.fit_additive(design, y)
+        qr = efs.fit_additive(design, y, efs.EFSControl(method="qr"))
+        assert chol.converged and qr.converged and not qr.dropped
+        assert qr.iterations == chol.iterations
+        np.testing.assert_allclose(qr.rho, chol.rho, rtol=0, atol=1e-8)
+        assert abs(qr.reml - chol.reml) <= 1e-10 * abs(chol.reml)
 
 
 class TestTermEdfs:
@@ -609,9 +641,8 @@ class TestDetectUnidentifiable:
                           TermSpec("smooth", ["z"], k=8)])
         d = build_design(spec, data)
         H = sp.csc_array(d.X_full.T @ d.X_full)
-        for method in ("qr", "lu"):
-            bad = efs.detect_unidentifiable(H, d, method=method)
-            assert len(bad & {1, 2}) == 1
+        bad = efs.detect_unidentifiable(H, d)
+        assert len(bad & {1, 2}) == 1
 
     def test_restricted_excludes_random_terms(self):
         rng = np.random.default_rng(21)

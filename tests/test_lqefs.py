@@ -7,10 +7,10 @@ import scipy.sparse as sp
 from smoothfit import lqefs
 from smoothfit.design import ModelSpec, TermSpec, build_design
 from smoothfit.efs import fit_additive
-from smoothfit.errors import SpecError
+from smoothfit.errors import NumericError, SpecError
 from smoothfit.lqefs import (CompactRep, LqefsControl, UpdatePair,
                              armijo_search, cholesky_of_compact,
-                             compact_matvec, compact_push,
+                             compact_push,
                              compact_trace_penalty, implicit_nearest_psd,
                              lqefs_fit, penalized_inverse, qefs_accept,
                              wolfe_search)
@@ -121,7 +121,7 @@ class TestCompactReps:
     def test_matvec_empty_queue(self):
         rep = CompactRep("bfgs_inverse", 7, 3, gamma=2.5)
         a = np.arange(7.0)
-        np.testing.assert_allclose(compact_matvec(rep, a), 2.5 * a)
+        np.testing.assert_allclose(rep.matvec(a), 2.5 * a)
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -363,27 +363,60 @@ class TestCholeskyOfCompact:
                                    atol=1e-8 * np.abs(A).max())
         assert abs(f.logdet - np.linalg.slogdet(A)[1]) < 1e-8
 
-    def test_indefinite_inner_sign_split(self):
-        # raw SR1 representation with an indefinite inner matrix but a
-        # positive definite penalized sum: downdates must handle it
-        rng = np.random.default_rng(16)
-        n_p = 20
-        rep = CompactRep("sr1_hessian", n_p, 4)
+    @staticmethod
+    def _pushed(kind, seed, n_p=20, m=4):
+        rng = np.random.default_rng(seed)
+        rep = CompactRep(kind, n_p, m)
         A = np.diag(rng.uniform(0.5, 1.5, n_p))
-        for _ in range(4):
+        for _ in range(m):
             s = rng.standard_normal(n_p)
-            rep = compact_push(rep, UpdatePair(s, A @ s
-                                               + 0.05 *
-                                               rng.standard_normal(n_p)))
+            rep = compact_push(rep, UpdatePair(
+                s, A @ s + 0.05 * rng.standard_normal(n_p)))
+        return rep
+
+    @staticmethod
+    def _assembled(rep, S):
+        base, outer, inner = rep.blocks()
+        return base * np.eye(rep.n_p) + S + \
+            outer @ (0.5 * (inner + inner.T)) @ outer.T
+
+    def _check_dense_cholesky(self, rep):
         H = rep.dense()
+        np.testing.assert_allclose(self._assembled(rep, 0.0), H,
+                                   atol=1e-12 * np.abs(H).max())
         shift = max(0.0, -np.linalg.eigvalsh(H).min()) + 0.5
-        S = sp.csc_array(shift * np.eye(n_p))
+        S = shift * np.eye(rep.n_p)
+        S[0, 1] = S[1, 0] = 0.1
+        f = cholesky_of_compact(rep, sp.csc_array(S))
+        ref = np.linalg.cholesky(self._assembled(rep, S)).T
+        np.testing.assert_allclose(f.R, ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+        assert abs(f.logdet - np.linalg.slogdet(H + S)[1]) < 1e-10
+        b = np.arange(rep.n_p, dtype=float)
+        np.testing.assert_allclose((H + S) @ f.solve(b), b, atol=1e-9)
+
+    def test_indefinite_inner_sign_split(self):
+        # raw SR1 representation whose inner matrix has eigenvalues of both
+        # signs, with a positive definite penalized sum
+        rep = self._pushed("sr1_hessian", 16)
         _, _, inner = rep.blocks()
-        assert np.linalg.eigvalsh(inner).min() < 0 or True
-        f = cholesky_of_compact(rep, S)
-        ref = H + shift * np.eye(n_p)
-        np.testing.assert_allclose(f.R.T @ f.R, ref,
-                                   atol=1e-8 * np.abs(ref).max())
+        ev = np.linalg.eigvalsh(0.5 * (inner + inner.T))
+        assert ev.min() < 0.0 < ev.max()
+        self._check_dense_cholesky(rep)
+
+    @pytest.mark.parametrize("kind,seed", [("sr1_hessian", 18),
+                                           ("bfgs_hessian", 16),
+                                           ("bfgs_hessian", 19)])
+    def test_matches_dense_cholesky(self, kind, seed):
+        self._check_dense_cholesky(self._pushed(kind, seed))
+
+    def test_not_positive_definite_raises(self):
+        rep = self._pushed("sr1_hessian", 16)
+        low = np.linalg.eigvalsh(rep.dense()).min()
+        assert low < 0.0
+        S = sp.csc_array(0.5 * abs(low) * np.eye(rep.n_p))
+        with pytest.raises(NumericError):
+            cholesky_of_compact(rep, S)
 
 
 class TestLqefsFit:

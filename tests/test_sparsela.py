@@ -80,6 +80,46 @@ def eeg_pattern(n_series=20, rows=25):
     return penalized_normal_matrix(spec, {"t": t, "g": g})
 
 
+def givens_insert_rows(R, rows):
+    """Reference row-wise Givens QR: rotate each dense row of ``rows`` into
+    the upper-triangular R, keeping its diagonal non-negative."""
+    p = R.shape[0]
+    for r in np.atleast_2d(rows):
+        r = r.astype(float)
+        for j in range(p):
+            if r[j] == 0.0:
+                continue
+            hyp = np.hypot(R[j, j], r[j])
+            c, s = R[j, j] / hyp, r[j] / hyp
+            Rj = R[j, j:].copy()
+            R[j, j:] = c * Rj + s * r[j:]
+            r[j:] = -s * Rj + c * r[j:]
+            R[j, j] = hyp
+    return R
+
+
+def givens_penalized_qr(A, perm, drop_tol=sla.HEATH_DROP_RTOL):
+    """Reference Heath (1982) QR of the dense stacked system ``A``, columns
+    in ``perm`` order: after every dropped column the scan restarts from
+    the first column.  Returns R and the dropped positions."""
+    p = A.shape[1]
+    R = givens_insert_rows(np.zeros((p, p)), A[:, perm])
+    scale = np.max(np.diag(R))
+    dropped = []
+    changed = True
+    while changed:
+        changed = False
+        for j in range(p):
+            if j not in dropped and R[j, j] < drop_tol * scale:
+                tail = np.concatenate([np.zeros(j + 1), R[j, j + 1:]])
+                R[j, j:] = 0.0
+                dropped.append(j)
+                givens_insert_rows(R, tail)
+                changed = True
+                break
+    return R, sorted(dropped)
+
+
 class TestFillReducingPermutation:
     def test_diagonal(self):
         A = sp.csc_array(np.diag([1.0, 2.0, 3.0]))
@@ -452,10 +492,77 @@ class TestPenalizedQR:
         recon[np.ix_(f.perm, f.perm)] = R.T @ R
         np.testing.assert_allclose(recon, G, rtol=1e-6, atol=1e-8)
 
+    def test_single_column(self):
+        x = np.array([[0.0], [3.0], [-4.0]])
+        f = sla.penalized_qr(sp.csr_array(x), None)
+        np.testing.assert_allclose(f._R, [[5.0]])
+        assert f.dropped == set() and abs(f.logdet - np.log(25.0)) < 1e-14
+        np.testing.assert_allclose(f.solve(np.array([50.0])), [2.0])
+        f = sla.penalized_qr(sp.csr_array(np.zeros((3, 1))),
+                             sp.csc_array([[2.0]]))
+        np.testing.assert_allclose(f._R, [[2.0]])
+        with pytest.raises(SpecError):
+            sla.penalized_qr(sp.csr_array(np.zeros((3, 1))), None)
+
     def test_all_dropped_rejected(self):
         X = sp.csr_array(np.zeros((5, 3)))
         with pytest.raises(SpecError):
             sla.penalized_qr(X, None)
+        with pytest.raises(SpecError):
+            sla.penalized_qr(X, sp.csc_array(np.zeros((3, 2))))
+
+
+def _collinear_case(seed, n, p, density, kind, with_E):
+    """Random sparse X with forced exact or near dependence among its
+    columns, and optionally a penalty root E with some zero rows."""
+    rng = np.random.default_rng(seed)
+    X = sp.random_array((n, p), density=density, rng=rng,
+                        data_sampler=rng.standard_normal).toarray()
+    a, b, c = rng.choice(p, 3, replace=False)
+    if kind == "exact":
+        X[:, c] = X[:, a] - 2.0 * X[:, b]
+    elif kind == "near":
+        X[:, c] = X[:, a] + 1e-10 * rng.standard_normal(n)
+    elif kind == "zero":
+        X[:, c] = 0.0
+    E = None
+    if with_E:
+        E = np.diag(rng.uniform(0.1, 2.0, p) * (rng.uniform(size=p) < 0.5))
+        E[:, 0] += 0.3 * rng.standard_normal(p) * (rng.uniform(size=p) < 0.3)
+    return X, E
+
+
+class TestPenalizedQRProperties:
+    """The LAPACK QR with Heath dropping against the Givens reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40),
+           st.integers(3, 14), st.floats(0.1, 0.8),
+           st.sampled_from(["exact", "near", "zero", "none"]), st.booleans())
+    @example(0, 3, 3, 0.5, "exact", False)
+    @example(1, 40, 14, 0.1, "zero", True)
+    def test_matches_givens_reference(self, seed, n, p, density, kind,
+                                      with_E):
+        X, E = _collinear_case(seed, n, p, density, kind, with_E)
+        A = X if E is None else np.vstack([X, E.T])
+        if not np.any(A):
+            return
+        f = sla.penalized_qr(sp.csr_array(X),
+                             None if E is None else sp.csc_array(E))
+        R_ref, dropped_ref = givens_penalized_qr(A, f.perm)
+        assert f.dropped == {int(f.perm[j]) for j in dropped_ref}
+        R = f._R
+        assert np.all(np.diag(R) >= 0.0)
+        np.testing.assert_array_equal(R, np.triu(R))
+        K = f._keep
+        G = (A.T @ A)[np.ix_(f.perm, f.perm)][np.ix_(K, K)]
+        Rk = R[np.ix_(K, K)]
+        np.testing.assert_allclose(Rk.T @ Rk, G, rtol=0,
+                                   atol=1e-10 * max(np.abs(G).max(), 1.0))
+        np.testing.assert_allclose(R, R_ref, rtol=0,
+                                   atol=1e-8 * max(np.abs(R_ref).max(), 1.0))
+        if kind != "none" and E is None:
+            assert f.dropped
 
 
 class TestConditionEstimate:
@@ -476,34 +583,3 @@ class TestConditionEstimate:
             kappa = np.linalg.cond(np.asarray(A.todense()))
             est = sla.condition_estimate(f)
             assert kappa / n <= est <= kappa * n
-
-
-class TestStableLuRank:
-    def test_near_singular_direction(self):
-        A = sp.csc_array(np.diag([1.0, 1e-13]))
-        lr = sla.stable_lu_rank(A)
-        sigma, v = lr.smallest_singular_pair()
-        assert sigma <= 1e-12
-        assert int(np.argmax(np.abs(v))) == 1
-
-    def test_rank1_plus_tiny_identity(self):
-        rng = np.random.default_rng(14)
-        u = rng.standard_normal(12)
-        A = np.outer(u, u) + 1e-12 * np.eye(12)
-        lr = sla.stable_lu_rank(sp.csc_array(A))
-        sigma, v = lr.smallest_singular_pair()
-        _, _, Vt = np.linalg.svd(A)
-        ref = Vt[-1]
-        # smallest singular subspace has dimension 11; the estimate must
-        # lie inside it (orthogonal to u)
-        assert abs(v @ u) / np.linalg.norm(u) < 1e-4
-        assert sigma < 1e-10
-
-    def test_wellconditioned_estimate(self):
-        rng = np.random.default_rng(15)
-        A = random_spd(rng, 25, shift=2.0)
-        lr = sla.stable_lu_rank(A)
-        sigma, _ = lr.smallest_singular_pair()
-        ref = np.linalg.svd(np.asarray(A.todense()), compute_uv=False)[-1]
-        assert ref / 10 <= sigma <= ref * 10
-        assert not lr.flagged
