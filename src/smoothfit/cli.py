@@ -21,9 +21,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sparsela
-from .design import ModelSpec, PenalizedDesign, TermSpec, build_design, \
-    _term_rows, _table_length, TermArtifact
-from .efs import EFSControl, FitState, fit_additive, fit_gam, fit_gsmm
+from .design import ModelSpec, TermSpec, build_design, _term_rows, \
+    _table_length, TermArtifact
+from .efs import EFSControl, fit_additive, fit_gam, fit_gsmm
 from .errors import NumericError, SmoothfitError, SpecError
 from .families import CoxphFamily, GamlssFamily, get_family, get_link
 from .lqefs import LqefsControl, lqefs_fit

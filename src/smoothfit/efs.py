@@ -12,10 +12,25 @@ Three entry points cover the model ladder:
 * :func:`fit_gsmm` -- general smooth models with user-supplied gradient and
   Hessian, estimated by a stabilized Newton loop.
 
-Step-length control follows the gradient-sign check: a proposed update is
-halved while the REML gradient at the proposal points against it.  All
-engines share the sparse factorization layer and the trace identities
-tr(S_lambda^- S^r) and tr(H_p^{-1} S^r) the update is built from.
+These and the quasi-Newton :func:`smoothfit.lqefs.lqefs_fit` share one
+outer loop, :func:`_efs_loop`: solve at lambda = 1, then evaluate each
+solved point and either halve the pending update from the last accepted
+point (while the REML gradient points against it), stop (the objective
+moved less than ``tol`` relative to the last accepted point) or take the
+next update and solve.  The returned coefficients always solve the problem
+at the returned lambda.  An engine supplies three parts:
+
+* ``solve(lams, start)`` -- the point at ``lams`` from ``start`` (``None``
+  at first): Fisher steps for am/gam, Newton plus a one-time rank check for
+  gsmm;
+* ``evaluate(point, lams)`` -- an :class:`_Evaluation`: the objective
+  (penalized deviance or log-likelihood), the scale, tr(S_lambda^- S^r),
+  tr(H_p^{-1} S^r) and beta^T S^r beta;
+* ``finish(point, ev, lams)`` -- the retained columns and the engine's
+  REML score, log-likelihood, factor and diagnostics.
+
+A term's EDF is its retained columns less the sum of lambda_r tr(H_p^{-1}
+S^r) over its r, since every S^r lies inside its term's column block.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +47,8 @@ from .families import Gaussian, IdentityLink, pseudo_data
 RHO_LO, RHO_HI = -12.0, 12.0
 LAM_LO, LAM_HI = np.exp(RHO_LO), np.exp(RHO_HI)
 QUAD_FLOOR = 1e-14
+#: most halvings of one proposed update under the gradient-sign check
+MAX_HALF = 10
 
 
 @dataclass
@@ -39,9 +56,7 @@ class EFSControl:
     max_outer: int = 200
     max_inner: int = 1
     tol: float = 1e-7
-    control_lambda: str = "gradient_check"   # or "none"
     method: str = "cholesky"                 # or "qr"
-    max_half: int = 10
     stabilize: bool = True
 
     def __post_init__(self):
@@ -49,8 +64,6 @@ class EFSControl:
             raise SpecError("max_inner must be at least 1")
         if self.tol <= 0:
             raise SpecError("tol must be positive")
-        if self.control_lambda not in ("none", "gradient_check"):
-            raise SpecError("control_lambda must be 'none' or 'gradient_check'")
         if self.method not in ("cholesky", "qr"):
             raise SpecError("method must be 'cholesky' or 'qr'")
 
@@ -312,6 +325,91 @@ def _clip_lams(lams):
     return np.clip(lams, LAM_LO, LAM_HI)
 
 
+@dataclass
+class _Evaluation:
+    """One solved point, evaluated.  The EDFs and diagnostics report
+    ``tr_H``; ``tr_step``, when given, replaces it in the update and the
+    gradient check.  ``extra`` is engine data for ``finish``."""
+
+    objective: float
+    tr_S: np.ndarray
+    tr_H: np.ndarray
+    quads: np.ndarray
+    phi: float = 1.0
+    tr_step: np.ndarray = None
+    extra: object = None
+
+    @property
+    def traces(self):
+        return self.tr_H if self.tr_step is None else self.tr_step
+
+    @property
+    def grad(self):
+        """REML gradient over lambda, as :func:`reml_grad` forms it."""
+        return -self.quads / (2.0 * self.phi) + 0.5 * self.tr_S \
+            - 0.5 * self.traces
+
+
+def _efs_loop(design, solve, evaluate, finish, control, max_half=MAX_HALF,
+              rho_step_max=None, settled=None):
+    """The outer loop of every engine (see the module docstring); returns
+    the :class:`FitState`.  ``rho_step_max`` caps each update's move of a
+    log weight and ``settled(rel, lams, lams_prev)`` is one more stop; the
+    quasi-Newton engine sets both."""
+    n_l = design.n_lambda
+    lams = np.ones(n_l)
+    point = solve(lams, None)
+    clamped = np.zeros(n_l, dtype=bool)
+    pending = None
+    halvings = 0
+    converged = False
+    it = 0
+    for it in range(1, control.max_outer + 1):
+        ev = evaluate(point, lams)
+        if pending is not None:
+            if halvings < max_half and float(ev.grad @ pending) < 0:
+                pending = pending / 2.0
+                halvings += 1
+                lams = _clip_lams(acc_lams + pending)
+                point = solve(lams, acc_point)
+                continue
+            rel = abs(acc_obj - ev.objective) / (abs(ev.objective) + 1e-12)
+            if rel < control.tol or (settled is not None
+                                     and settled(rel, lams, acc_lams)):
+                converged = True
+                break
+        acc_lams, acc_point, acc_obj = lams, point, ev.objective
+        pending = np.zeros(n_l)
+        for r in range(n_l):
+            delta, clamped_r = efs_step(lams[r], ev.tr_S[r], ev.traces[r],
+                                        ev.quads[r], ev.phi)
+            if rho_step_max is not None:
+                delta = np.clip(lams[r] + delta,
+                                lams[r] * np.exp(-rho_step_max),
+                                lams[r] * np.exp(rho_step_max)) - lams[r]
+            pending[r] = delta
+            clamped[r] |= clamped_r
+        halvings = 0
+        lams = _clip_lams(lams + pending)
+        point = solve(lams, point)
+    if not converged:
+        ev = evaluate(point, lams)
+
+    kept, fields = finish(point, ev, lams)
+    term_edf = {
+        t.spec.name: float(np.count_nonzero(
+            kept[t.col_start:t.col_start + t.col_count])
+            - sum(lams[r] * ev.tr_H[r] for r in t.lam_indices))
+        for t in design.terms}
+    diagnostics = {"lambda_clamped": clamped.tolist(),
+                   "tr_S": ev.tr_S.tolist(), "tr_H": ev.tr_H.tolist(),
+                   "quads": ev.quads.tolist(), **fields.pop("diagnostics")}
+    edf = float(np.count_nonzero(kept) - np.sum(lams * ev.tr_H))
+    return FitState(lam=lams, phi=ev.phi, edf=edf, iterations=it,
+                    converged=converged, term_edf=term_edf,
+                    diagnostics=diagnostics, **fields)
+
+
 # ---------------------------------------------------------------------------
 # additive / generalized additive engines
 # ---------------------------------------------------------------------------
@@ -332,9 +430,12 @@ def fit_gam(design, y, family, link=None, control=None):
 
 
 class _WorkingModel:
-    """One linearize+solve step of the working (pseudo-data) model."""
+    """The am/gam engine: linearize+solve steps of the working
+    (pseudo-data) model.  A point is ``(beta, penalized deviance, mu,
+    factor, z, w)``."""
 
-    def __init__(self, design, yv, family, link, control):
+    def __init__(self, design, yv, family, link, control, engine):
+        self.engine = engine
         self.design = design
         self.yv = yv
         self.family = family
@@ -353,13 +454,6 @@ class _WorkingModel:
         z, w, nclamp = pseudo_data(self.yv, mu, self.link, self.family)
         self.clamp_events += nclamp
         return z, w
-
-    def solve(self, lams, z, w):
-        beta, factor = solve_penalized(self.X, z, w, self.design, lams,
-                                       method=self.control.method,
-                                       system=self.system)
-        self.dropped |= set(getattr(factor, "dropped", set()))
-        return beta, factor
 
     def pen_deviance(self, beta, lams):
         mu = self.link.inverse(np.asarray(self.X @ beta))
@@ -380,7 +474,7 @@ class _WorkingModel:
             tries += 1
         return beta_new, dev_new, mu_new
 
-    def step(self, lams, mu, beta_prev, dev_prev=None):
+    def step(self, lams, mu, beta_prev):
         """Linearize at mu, solve at lams, apply beta step control.
 
         The reference objective for step control is re-evaluated at the
@@ -388,7 +482,10 @@ class _WorkingModel:
         penalty and is not comparable).
         """
         z, w = self.linearize(mu)
-        beta_new, factor = self.solve(lams, z, w)
+        beta_new, factor = solve_penalized(self.X, z, w, self.design, lams,
+                                           method=self.control.method,
+                                           system=self.system)
+        self.dropped |= set(getattr(factor, "dropped", set()))
         if beta_prev is None or self.gaussian_identity:
             dev, mu_new = self.pen_deviance(beta_new, lams)
             return beta_new, dev, mu_new, factor, z, w
@@ -396,16 +493,6 @@ class _WorkingModel:
         beta, dev, mu_new = self.halve_beta(beta_new, beta_prev, dev_ref,
                                             lams)
         return beta, dev, mu_new, factor, z, w
-
-    def inner_loop(self, lams, mu, beta, dev, n_iter):
-        factor = z = w = None
-        for _ in range(n_iter):
-            beta2, dev2, mu, factor, z, w = self.step(lams, mu, beta)
-            done = abs(dev - dev2) < self.control.tol * (abs(dev2) + 1.0)
-            beta, dev = beta2, dev2
-            if done:
-                break
-        return beta, dev, mu, factor, z, w
 
     def phi_hat(self, beta, lams, z, w):
         if not self.family.has_scale:
@@ -416,110 +503,72 @@ class _WorkingModel:
         mp = self.design.N_p - self.design.penalty_rank
         return estimate_phi(float(resid @ resid) + pen, self.design.N, mp)
 
+    def solve(self, lams, start):
+        """One step from the initial mu at first; then up to ``max_inner``
+        steps, until the penalized deviance settles."""
+        if start is None:
+            mu = self.family.init_mu(self.yv)
+            if not self.gaussian_identity:
+                mu, _ = self.link.clamp(mu)
+            return self.step(lams, mu, None)
+        beta, dev, mu = start[:3]
+        for _ in range(1 if self.gaussian_identity
+                       else self.control.max_inner):
+            point = self.step(lams, mu, beta)
+            done = abs(dev - point[1]) < self.control.tol * (
+                abs(point[1]) + 1.0)
+            beta, dev, mu = point[:3]
+            if done:
+                break
+        return point
+
+    def evaluate(self, point, lams):
+        beta, dev, _, factor, z, w = point
+        phi = self.phi_hat(beta, lams, z, w)
+        _, tr_S, tr_H, quads = reml_grad(self.design, factor, lams, beta,
+                                         phi=phi)
+        return _Evaluation(dev, tr_S, tr_H, quads, phi)
+
+    def finish(self, point, ev, lams):
+        design, phi = self.design, ev.phi
+        beta, dev_pen, _, factor, z, w = point
+        pen = float(np.asarray(lams) @ design.quad_forms(beta))
+        mu_fit = self.link.inverse(np.asarray(self.X @ beta))
+        llk = float(np.sum(self.family.log_density(
+            self.yv, self.link.clamp(mu_fit)[0], phi)))
+        llk_pen = llk - pen / (2.0 * phi)
+        if self.gaussian_identity:
+            llk_reml = llk_pen
+        else:
+            wq = np.ones(design.N) if w is None else w
+            resid = np.sqrt(wq) * (z - np.asarray(self.X @ beta))
+            llk_work = float(0.5 * np.sum(np.log(wq))
+                             - 0.5 * design.N * np.log(2.0 * np.pi * phi)
+                             - float(resid @ resid) / (2.0 * phi))
+            llk_reml = llk_work - pen / (2.0 * phi)
+        reml = reml_value(design, factor, lams, llk_reml, phi=phi,
+                          n_active=design.N_p - len(self.dropped))
+        kept = np.ones(design.N_p, dtype=bool)
+        kept[sorted(self.dropped)] = False
+        return kept, dict(
+            beta=beta, reml=reml, penalized_llk=llk_pen, llk=llk,
+            dropped=self.dropped, engine=self.engine,
+            diagnostics={"mu_clamp_events": self.clamp_events,
+                         "reml_grad_lambda": ev.grad.tolist(),
+                         "factor_nnz": factor.nnz_L(),
+                         "penalized_deviance": dev_pen},
+            _design=design, _factor=factor, _weights=w, _family=self.family,
+            _link=self.link, _y=self.yv)
+
 
 def _fit_working(design, y, family, link, control, engine):
     y_user = np.asarray(y, dtype=float)
     if y_user.shape[0] != design.N:
         raise SpecError("response length does not match the design")
     family.validate(y_user)
-    yv = design.to_internal(y_user)
-    wm = _WorkingModel(design, yv, family, link, control)
-
-    lams = np.ones(design.n_lambda)
-    mu = family.init_mu(yv)
-    if not wm.gaussian_identity:
-        mu, _ = link.clamp(mu)
-
-    beta, dev_pen, mu, factor, z, w = wm.step(lams, mu, None)
-    pending = None
-    halvings = 0
-    lam_clamped = np.zeros(design.n_lambda, dtype=bool)
-    converged = False
-    dev_accepted = None
-    snapshot = (lams.copy(), beta.copy(), mu.copy(), dev_pen)
-    it = 0
-
-    for it in range(1, control.max_outer + 1):
-        phi = wm.phi_hat(beta, lams, z, w)
-        grad, tr_S, tr_H, quads = reml_grad(design, factor, lams, beta,
-                                            phi=phi)
-
-        if pending is not None and control.control_lambda == "gradient_check" \
-                and float(grad @ pending) < 0 and halvings < control.max_half:
-            lams, beta, mu, dev_pen = (snapshot[0].copy(), snapshot[1].copy(),
-                                       snapshot[2].copy(), snapshot[3])
-            pending = pending / 2.0
-            halvings += 1
-            lams = _clip_lams(lams + pending)
-            beta, dev_pen, mu, factor, z, w = wm.step(lams, mu, beta)
-            continue
-
-        if pending is not None and dev_accepted is not None:
-            rel = abs(dev_accepted - dev_pen) / (abs(dev_pen) + 1e-12)
-            if rel < control.tol:
-                converged = True
-                break
-        dev_accepted = dev_pen
-        snapshot = (lams.copy(), beta.copy(), mu.copy(), dev_pen)
-
-        pending = np.zeros(design.n_lambda)
-        for r in range(design.n_lambda):
-            delta, clamped = efs_step(lams[r], tr_S[r], tr_H[r], quads[r],
-                                      phi)
-            pending[r] = delta
-            lam_clamped[r] |= clamped
-        halvings = 0
-        lams = _clip_lams(lams + pending)
-
-        if control.max_inner > 1 and not wm.gaussian_identity:
-            beta, dev_pen, mu, factor, z, w = wm.inner_loop(
-                lams, mu, beta, dev_pen, control.max_inner)
-        else:
-            beta, dev_pen, mu, factor, z, w = wm.step(lams, mu, beta)
-
-    phi = wm.phi_hat(beta, lams, z, w)
-    grad, tr_S, tr_H, quads = reml_grad(design, factor, lams, beta, phi=phi)
-    pen = float(np.asarray(lams) @ design.quad_forms(beta))
-    mu_fit = link.inverse(np.asarray(wm.X @ beta))
-    llk = float(np.sum(family.log_density(yv, link.clamp(mu_fit)[0], phi)))
-    llk_pen = llk - pen / (2.0 * phi)
-    n_active = design.N_p - len(wm.dropped)
-    if wm.gaussian_identity:
-        reml = reml_value(design, factor, lams, llk_pen, phi=phi,
-                          n_active=n_active)
-    else:
-        wq = np.ones(design.N) if w is None else w
-        resid = np.sqrt(wq) * (z - np.asarray(wm.X @ beta))
-        llk_work = float(0.5 * np.sum(np.log(wq))
-                         - 0.5 * design.N * np.log(2.0 * np.pi * phi)
-                         - float(resid @ resid) / (2.0 * phi))
-        reml = reml_value(design, factor, lams,
-                          llk_work - pen / (2.0 * phi), phi=phi,
-                          n_active=n_active)
-    edf = n_active - float(np.sum(lams * tr_H))
-    state = FitState(
-        beta=beta, lam=lams, phi=phi, edf=edf, reml=reml,
-        penalized_llk=llk_pen, llk=llk, iterations=it, converged=converged,
-        dropped=wm.dropped, engine=engine,
-        diagnostics={"lambda_clamped": lam_clamped.tolist(),
-                     "mu_clamp_events": wm.clamp_events,
-                     "reml_grad_lambda": grad.tolist(),
-                     "tr_S": tr_S.tolist(), "tr_H": tr_H.tolist(),
-                     "quads": quads.tolist(),
-                     "factor_nnz": factor.nnz_L(),
-                     "penalized_deviance": dev_pen},
-        _design=design, _factor=factor, _weights=w, _family=family,
-        _link=link, _y=yv)
-    # every S^r lies inside its term's column block, so a term's edf is its
-    # retained columns less its share of sum(lams * tr_H)
-    kept = np.ones(design.N_p, dtype=bool)
-    kept[sorted(wm.dropped)] = False
-    state.term_edf = {
-        t.spec.name: float(np.count_nonzero(
-            kept[t.col_start:t.col_start + t.col_count])
-            - sum(lams[r] * tr_H[r] for r in t.lam_indices))
-        for t in design.terms}
-    return state
+    wm = _WorkingModel(design, design.to_internal(y_user), family, link,
+                       control, engine)
+    return _efs_loop(design, wm.solve, wm.evaluate, wm.finish, control)
 
 
 # ---------------------------------------------------------------------------
@@ -674,26 +723,38 @@ def _as_sparse_H(H):
     return sp.csc_array(H) if sp.issparse(H) else sp.csc_array(np.asarray(H))
 
 
-def _factor_with_ridge(system, Hp, h_norm, eps0=0.0):
-    """Factor H_p + eps I with the diagonal preconditioner, escalating eps
-    by a factor of 10 per Cholesky failure up to 1e4 ||H||_F."""
-    n_p = Hp.shape[0]
-    eps = eps0
-    eps_next = max(1e-8 * h_norm, 1e-14)
+def _ridge_factor(system, H, lams, eps=0.0, factor=None, accept=None):
+    """Factor H + S_lambda + eps I with the diagonal preconditioner.
+
+    ``system`` is the Newton engine's, whose pattern contains I.  A failed
+    factorization, or one ``accept`` rejects, raises eps to
+    max(10 eps, 1e-8 ||H||_F, 1e-14) and then tenfold per failure, up to
+    1e4 max(||H||_F, 1).  ``factor`` is an existing factor at ``eps`` to
+    check first.  Returns ``(factor, eps)``.
+    """
+    h_norm = sp.linalg.norm(H)
+    vals = system.align_values(H) + np.asarray(lams, dtype=float) \
+        @ system.S_vals
+    n = system.n
+    diag = np.searchsorted(system._keys, np.arange(n) * (n + 1))
+    eps_next = max(10.0 * eps, 1e-8 * h_norm, 1e-14)
     cap = 1e4 * max(h_norm, 1.0)
-    eye = sp.eye_array(n_p, format="csc")
     while True:
-        A = Hp if eps == 0.0 else sp.csc_array(Hp + eps * eye)
-        dscale = Stabilizer.preconditioner(A.diagonal())
-        try:
-            return system.factor(A, dscale=dscale), eps
-        except IndefiniteError:
-            eps = max(eps_next, eps * 10.0)
-            eps_next *= 10.0
-            if eps > cap:
-                raise NumericError(
-                    "penalized Hessian stayed indefinite at the ridge cap; "
-                    "drop terms or reparameterize the model") from None
+        if factor is None:
+            A = vals.copy()
+            A[diag] += eps
+            try:
+                factor = system.symbolic.factor(
+                    A, dscale=Stabilizer.preconditioner(A[diag]))
+            except IndefiniteError:
+                pass
+        if factor is not None and (accept is None or accept(factor)):
+            return factor, eps
+        eps, eps_next, factor = eps_next, 10.0 * eps_next, None
+        if eps > cap:
+            raise NumericError(
+                "penalized Hessian stayed indefinite at the ridge cap; "
+                "drop terms or reparameterize the model")
 
 
 def newton_beta(design, family, lams, beta0=None, control=None, system=None,
@@ -716,14 +777,12 @@ def newton_beta(design, family, lams, beta0=None, control=None, system=None,
     for _ in range(max_iter):
         g = family.grad(beta, design) - np.asarray(S_lam @ beta)
         H = _as_sparse_H(-family.hess(beta, design))
-        h_norm = sp.linalg.norm(H)
-        Hp = sp.csc_array(H + S_lam)
         if system is None:
             # pattern only: later Hessians and ridges stay inside it
             X = design.X_full
             system = PenalizedSystem(design, base=abs(X.T @ X) + abs(H)
                                      + sp.eye_array(design.N_p))
-        factor, eps = _factor_with_ridge(system, Hp, h_norm)
+        factor, eps = _ridge_factor(system, H, lams)
         delta = factor.solve(g)
         beta_new = beta + delta
         llk_new = family.llk(beta_new, design)
@@ -747,133 +806,79 @@ def make_efs_safe(H, design, lams, system, factor, eps):
     """Raise the ridge until tr(S^- S^r) >= tr(H_p^{-1} S^r) for all r.
 
     This enforces the positive-semi-definiteness requirement on H that
-    keeps every Fellner-Schall numerator non-negative.
+    keeps every Fellner-Schall numerator non-negative.  ``factor`` is the
+    factor of H + S_lambda + eps I.  Returns (factor, eps, tr_S, tr_H).
     """
     tr_S = design.trace_sinv(lams)
-    h_norm = sp.linalg.norm(H)
-    S_lam = design.S_lambda(lams)
-    eye = sp.eye_array(design.N_p, format="csc")
-    eps_next = max(eps * 10.0, 1e-8 * h_norm, 1e-14)
-    cap = 1e4 * max(h_norm, 1.0)
-    while True:
-        tr_H = sparsela.trace_inv_form(factor, *design.trace_roots())
-        if np.all(tr_S - tr_H >= -1e-12 * np.maximum(np.abs(tr_S), 1.0)):
-            return factor, eps, tr_S, tr_H
-        eps = eps_next
-        eps_next *= 10.0
-        if eps > cap:
-            raise NumericError("could not restore EFS positivity; the "
-                               "log-likelihood Hessian is badly indefinite")
-        A = sp.csc_array(H + S_lam + eps * eye)
-        dscale = Stabilizer.preconditioner(A.diagonal())
-        factor = system.factor(A, dscale=dscale)
+    tr_H = None
+
+    def efs_safe(f):
+        nonlocal tr_H
+        tr_H = sparsela.trace_inv_form(f, *design.trace_roots())
+        return np.all(tr_S - tr_H >= -1e-12 * np.maximum(np.abs(tr_S), 1.0))
+    factor, eps = _ridge_factor(system, H, lams, eps, factor, efs_safe)
+    return factor, eps, tr_S, tr_H
 
 
 def fit_gsmm(design, family, control=None):
     """General smooth model: Newton for beta, EFS for the regularization.
 
     Fitting happens in the stabilized parameterization; the returned
-    coefficients are in the original one.
+    coefficients are in the original one.  A point is ``(beta, factor,
+    eps, H, llk_pen, llk)`` in the working coordinates of the columns
+    kept.
     """
     control = control or EFSControl()
     stab = stabilize(design) if control.stabilize else None
     work = transformed_design(design, stab) if stab is not None else design
-    lams = np.ones(design.n_lambda)
-    beta = family.init_coef(work)
-    pending = None
-    halvings = 0
-    lam_clamped = np.zeros(design.n_lambda, dtype=bool)
-    converged = False
-    dropped = set()
-    keep = np.arange(work.N_p)
-    active = work
-    system = None
-    llk_pen_prev = None
-    snapshot = None
+    active, keep, dropped, system = work, np.arange(work.N_p), set(), None
     checked_rank = False
-    it = 0
 
-    for it in range(1, control.max_outer + 1):
-        beta, factor, eps, H, llk_pen, llk, _, system = newton_beta(
-            active, family, lams, beta0=beta, control=control, system=system)
-
-        if not checked_rank and not dropped:
-            poor = eps > 0
-            if not poor:
-                poor = sparsela.condition_estimate(factor) > \
-                    sparsela.CONDITION_WARN
-            if poor:
+    def solve(lams, start):
+        nonlocal active, keep, dropped, system, checked_rank
+        beta = family.init_coef(work) if start is None else start[0]
+        point = newton_beta(active, family, lams, beta0=beta,
+                            control=control, system=system)
+        system = point[7]
+        if not checked_rank:
+            factor, eps, H = point[1:4]
+            if eps > 0 or sparsela.condition_estimate(factor) > \
+                    sparsela.CONDITION_WARN:
                 checked_rank = True
                 bad = detect_unidentifiable(H, active, restrict=False)
                 if bad:
                     dropped = set(bad)
                     active, keep = reduced_design(work, dropped)
-                    beta = beta[keep]
-                    system = None
-                    beta, factor, eps, H, llk_pen, llk, _, system = \
-                        newton_beta(active, family, lams, beta0=beta,
-                                    control=control, system=system)
+                    point = newton_beta(active, family, lams,
+                                        beta0=point[0][keep], control=control)
+                    system = point[7]
+        return point[:6]
 
+    def evaluate(point, lams):
+        beta, factor, eps, H, llk_pen, _ = point
         factor, eps, tr_S, tr_H = make_efs_safe(H, active, lams, system,
                                                 factor, eps)
         quads = np.array([float(beta @ (active.S_emb(r) @ beta))
                           for r in range(active.n_lambda)])
-        grad = -quads / 2.0 + 0.5 * tr_S - 0.5 * tr_H
+        return _Evaluation(llk_pen, tr_S, tr_H, quads, extra=(factor, eps))
 
-        if pending is not None and control.control_lambda == "gradient_check" \
-                and float(grad @ pending) < 0 and halvings < control.max_half:
-            beta, lams = snapshot[0].copy(), snapshot[1].copy()
-            llk_pen_prev = snapshot[2]
-            pending = pending / 2.0
-            halvings += 1
-            lams = _clip_lams(lams + pending)
-            continue
+    def finish(point, ev, lams):
+        beta, _, _, H, llk_pen, llk = point
+        factor, eps = ev.extra
+        beta_work = np.zeros(work.N_p)
+        beta_work[keep] = beta
+        kept = np.zeros(work.N_p, dtype=bool)
+        kept[keep] = True
+        return kept, dict(
+            beta=stab.apply(beta_work) if stab is not None else beta_work,
+            reml=reml_value(active, factor, lams, llk_pen, phi=1.0,
+                            n_active=active.N_p),
+            penalized_llk=llk_pen, llk=llk, eps_H=eps, dropped=dropped,
+            engine="gsmm",
+            diagnostics={"reml_grad_lambda": ev.grad.tolist(), "H_llk": H,
+                         "factor_nnz": factor.nnz_L(), "work_design": active,
+                         "keep": keep},
+            _design=design, _factor=factor, _family=family,
+            _transform=stab.T if stab is not None else None)
 
-        if pending is not None and llk_pen_prev is not None:
-            rel = abs(llk_pen - llk_pen_prev) / (abs(llk_pen) + 1e-12)
-            if rel < control.tol:
-                converged = True
-                break
-        llk_pen_prev = llk_pen
-        snapshot = (beta.copy(), lams.copy(), llk_pen)
-
-        pending = np.zeros(active.n_lambda)
-        for r in range(active.n_lambda):
-            delta, clamped = efs_step(lams[r], tr_S[r], tr_H[r], quads[r],
-                                      1.0)
-            pending[r] = delta
-            lam_clamped[r] |= clamped
-        halvings = 0
-        lams = _clip_lams(lams + pending)
-
-    edf = active.N_p - float(np.sum(lams * tr_H))
-    reml = reml_value(active, factor, lams, llk_pen, phi=1.0,
-                      n_active=active.N_p)
-    beta_work_full = np.zeros(work.N_p)
-    beta_work_full[keep] = beta
-    beta_out = stab.apply(beta_work_full) if stab is not None \
-        else beta_work_full
-    state = FitState(
-        beta=beta_out, lam=lams, phi=1.0, edf=edf, reml=reml,
-        penalized_llk=llk_pen, llk=llk, iterations=it, converged=converged,
-        eps_H=eps, dropped=dropped, engine="gsmm",
-        diagnostics={"lambda_clamped": lam_clamped.tolist(),
-                     "reml_grad_lambda": grad.tolist(),
-                     "tr_S": tr_S.tolist(), "tr_H": tr_H.tolist(),
-                     "quads": quads.tolist(), "H_llk": H,
-                     "factor_nnz": factor.nnz_L(), "work_design": active,
-                     "keep": keep},
-        _design=design, _factor=factor, _family=family,
-        _transform=stab.T if stab is not None else None)
-    # per-term edf from diag(H_p^{-1} H), work coordinates
-    sol = factor.solve(np.asarray(sp.csc_array(H).todense()))
-    dvec = np.einsum("ii->i", sol)
-    pos = -np.ones(work.N_p, dtype=np.int64)
-    pos[keep] = np.arange(keep.size)
-    term_edf = {}
-    for t in design.terms:
-        cols = pos[t.col_start:t.col_start + t.col_count]
-        cols = cols[cols >= 0]
-        term_edf[t.spec.name] = float(np.sum(dvec[cols])) if cols.size else 0.0
-    state.term_edf = term_edf
-    return state
+    return _efs_loop(design, solve, evaluate, finish, control)

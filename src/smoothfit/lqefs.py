@@ -4,9 +4,22 @@ Compact representations (Byrd, Nocedal & Schnabel, 1994) of BFGS and SR1
 approximations to the negative log-likelihood Hessian and its inverse,
 a penalized inverse via the modified Woodbury identity (Henderson &
 Searle, 1981), the implicit nearest-positive-semi-definite projection of
-Burdakov et al. (2017) in the formulation of Erway et al., and the fitting
-loop that estimates coefficients and regularization parameters from the
-log-likelihood gradient alone.
+Burdakov et al. (2017) in the formulation of Erway et al., and
+:func:`lqefs_fit`, which estimates coefficients and regularization
+parameters from the log-likelihood gradient alone.
+
+:func:`lqefs_fit` runs the outer loop of :mod:`smoothfit.efs` without the
+gradient-sign halving; as its traces are approximate, each round's move of
+a log weight is capped at ``RHO_STEP_MAX`` and the fit also stops once the
+weights have settled.  Its three parts: solve -- gradient-ascent steps
+before the first round, then phase 1 (a direct limited-memory ascent on
+the penalized log-likelihood) and phase 2 (unpenalized steps, feeding the
+persistent update queue that approximates the log-likelihood curvature,
+alternating with penalized steps through the Woodbury inverse); evaluate
+-- compact traces of the penalized inverse, stepping with those of
+whichever of the current or last-accepted approximation balances the
+update equation better (:func:`qefs_accept`); finish -- the dense Cholesky
+factor of the compact penalized Hessian and the REML score.
 
 Queue convention: the engine minimizes the negative (penalized)
 log-likelihood, so update pairs are ``s`` (accepted step) and ``nu``
@@ -16,7 +29,7 @@ log-likelihood Hessian, which the Fellner-Schall update requires to be at
 least positive semi-definite.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,8 +41,7 @@ from scipy.optimize import line_search as _scipy_line_search
 from scipy.optimize._linesearch import LineSearchWarning
 
 from . import sparsela
-from .efs import (FitState, LAM_HI, LAM_LO, PenalizedSystem, _clip_lams,
-                  efs_step, reml_value)
+from .efs import PenalizedSystem, _efs_loop, _Evaluation, reml_value
 from .errors import NumericError, SpecError
 
 #: Wolfe constants (sufficient increase / curvature) and Armijo backtracking
@@ -46,6 +58,14 @@ SR1_SKIP_RTOL = 1e-8
 
 #: largest per-round movement of any log regularization weight
 RHO_STEP_MAX = 6.0
+#: gradient-ascent steps before the first round
+INIT_GRAD_STEPS = 8
+#: phase 1 runs max(N_I - n_v, 4) steps at most
+N_I = 100
+#: relative objective change that ends phases 1 and 2
+PHASE_TOL = 1e-6
+#: relative step of the central finite-difference gradient
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -445,22 +465,14 @@ def cholesky_of_compact(h_rep, S_lambda):
 @dataclass
 class LqefsControl:
     n_v: int = 30
-    n_i: int = 100
     update: str = "sr1"               # or "bfgs"
-    lambda_control: str = "none"      # or "gradient_check"
     max_outer: int = 50
     tol: float = 1e-6
-    phase1_tol: float = 1e-6
     seed: int = 0
-    fd_step: float = 1e-6
-    init_grad_steps: int = 8
 
     def __post_init__(self):
         if self.update not in ("sr1", "bfgs"):
             raise SpecError("update must be 'sr1' or 'bfgs'")
-        if self.lambda_control not in ("none", "gradient_check"):
-            raise SpecError("lambda_control must be 'none' or "
-                            "'gradient_check'")
         if self.n_v < 1:
             raise SpecError("n_v must be positive")
 
@@ -478,20 +490,14 @@ def _finite_diff_grad(llk, x, step):
 
 
 def lqefs_fit(design, family, control=None):
-    """Quasi-Newton estimation of coefficients and regularization weights.
-
-    Phase 1 runs a direct limited-memory ascent on the penalized
-    log-likelihood; phase 2 alternates unpenalized steps (which feed the
-    persistent update queue approximating the log-likelihood curvature)
-    with penalized steps through the Woodbury inverse.  Each outer round
-    closes with trace computations and a Fellner-Schall update whose
-    ingredients come from whichever of the current or last-accepted
-    approximation balances the update equation better.
-    """
+    """Quasi-Newton estimation of coefficients and regularization weights
+    (see the module docstring).  A point of the outer loop is ``(beta,
+    penalized llk, inverse rep, Hessian rep)``."""
     control = control or LqefsControl()
     rng = np.random.default_rng(control.seed)
     n_p = design.N_p
     n_v = control.n_v
+    sr1 = control.update == "sr1"
 
     from .families import GeneralFamily
 
@@ -504,13 +510,10 @@ def lqefs_fit(design, family, control=None):
     else:
         # gradient-free contract: central finite differences
         def grad(b):
-            return _finite_diff_grad(llk, b, control.fd_step)
+            return _finite_diff_grad(llk, b, FD_STEP)
 
     h0_system = PenalizedSystem(design, base=sp.eye_array(n_p))
-
-    beta = family.init_coef(design).astype(float)
-    lams = np.ones(design.n_lambda)
-    S_lam = design.S_lambda(lams)
+    S_lam = None
 
     def pen_llk(b):
         return llk(b) - 0.5 * float(b @ (S_lam @ b))
@@ -518,46 +521,38 @@ def lqefs_fit(design, family, control=None):
     def pen_grad(b):
         return grad(b) - np.asarray(S_lam @ b)
 
-    # --- initialization: a few gradient-ascent steps, shrink-restart on
-    # repeated line-search failure -------------------------------------------
-    fails = 0
-    for _ in range(control.init_grad_steps):
-        g = pen_grad(beta)
-        gn = np.linalg.norm(g)
-        if gn == 0:
-            break
-        alpha = armijo_search(pen_llk, beta, g / gn, g)
-        if alpha is None:
-            fails += 1
-            if fails >= 2:
-                beta = 0.5 * (beta + rng.standard_normal(n_p))
-                fails = 0
-            continue
-        beta = beta + alpha * (g / gn)
-
-    queue_rep = CompactRep(
-        "sr1_inverse" if control.update == "sr1" else "bfgs_inverse",
-        n_p, n_v)
-    last_traces = None
+    queue_rep = CompactRep("sr1_inverse" if sr1 else "bfgs_inverse", n_p, n_v)
     last_inv = None
-    pending = None
-    lam_clamped = np.zeros(design.n_lambda, dtype=bool)
-    converged = False
-    pen_prev = None
-    lams_prev = None
-    inv_rep = None
-    h_psd = None
     search_fail_streak = 0
-    it = 0
 
-    for it in range(1, control.max_outer + 1):
+    def solve(lams, start):
+        nonlocal S_lam, queue_rep, search_fail_streak
         S_lam = design.S_lambda(lams)
+        if start is not None:
+            beta = start[0]
+        else:
+            # gradient ascent, shrink-restart on repeated line-search failure
+            beta = family.init_coef(design).astype(float)
+            fails = 0
+            for _ in range(INIT_GRAD_STEPS):
+                g = pen_grad(beta)
+                gn = np.linalg.norm(g)
+                if gn == 0:
+                    break
+                alpha = armijo_search(pen_llk, beta, g / gn, g)
+                if alpha is None:
+                    fails += 1
+                    if fails >= 2:
+                        beta = 0.5 * (beta + rng.standard_normal(n_p))
+                        fails = 0
+                    continue
+                beta = beta + alpha * (g / gn)
 
         # ---- phase 1: direct quasi-Newton on the penalized likelihood ------
         direct = CompactRep("bfgs_inverse", n_p, n_v)
         f_cur = pen_llk(beta)
         g_cur = pen_grad(beta)
-        for _ in range(max(control.n_i - n_v, 4)):
+        for _ in range(max(N_I - n_v, 4)):
             d = direct.matvec(g_cur)
             if float(d @ g_cur) <= 0:
                 d = g_cur.copy()
@@ -580,26 +575,20 @@ def lqefs_fit(design, family, control=None):
             g_new = pen_grad(beta)
             direct = compact_push(direct, UpdatePair(s=s, nu=g_cur - g_new))
             f_new = pen_llk(beta)
-            done = abs(f_new - f_cur) < control.phase1_tol * (abs(f_new) + 1)
+            done = abs(f_new - f_cur) < PHASE_TOL * (abs(f_new) + 1)
             f_cur, g_cur = f_new, g_new
             if done:
                 break
 
         # ---- phase 2: indirect updates building the likelihood curvature ---
-        sr1 = control.update == "sr1"
         phase2_cap = 5 * n_v
         min_steps = n_v if queue_rep.m < n_v else 3
         steps_done = 0
         while steps_done < phase2_cap:
             steps_done += 1
             g1 = grad(beta)
-            inv_kind = queue_rep.as_kind(
-                "sr1_inverse" if sr1 else "bfgs_inverse")
-            if sr1:
-                inv_dir_rep = implicit_nearest_psd(
-                    queue_rep.as_kind("sr1_inverse"))
-            else:
-                inv_dir_rep = inv_kind
+            inv_dir_rep = implicit_nearest_psd(queue_rep) if sr1 \
+                else queue_rep
             d1 = inv_dir_rep.matvec(g1)
             if float(d1 @ g1) <= 0 or not np.all(np.isfinite(d1)):
                 d1 = g1.copy()
@@ -635,96 +624,54 @@ def lqefs_fit(design, family, control=None):
             f_new = pen_llk(beta)
             rel = abs(f_new - f_cur) / (abs(f_new) + 1e-12)
             f_cur = f_new
-            if steps_done >= min_steps and rel < control.phase1_tol:
+            if steps_done >= min_steps and rel < PHASE_TOL:
                 break
 
-        # ---- traces and the quasi EFS update --------------------------------
+        return beta, f_cur, inv_rep, h_psd
+
+    def traces(inv):
+        return np.array([compact_trace_penalty(inv, design.S_emb(r))
+                         for r in range(design.n_lambda)])
+
+    def evaluate(point, lams):
+        nonlocal last_inv
+        beta, f_cur, inv_rep, _ = point
         tr_S = design.trace_sinv(lams)
         quads = design.quad_forms(beta)
+        tr_H = traces(inv_rep)
         # positive semi-definiteness of the projected approximation makes
         # tr(S^- S^r) >= tr(V' S^r) hold mathematically; enforce it against
         # the numerical noise of extreme regularization weights
-        cur_traces = np.minimum(
-            np.array([compact_trace_penalty(inv_rep, design.S_emb(r))
-                      for r in range(design.n_lambda)]), tr_S)
-        if last_inv is not None:
-            last_traces = np.minimum(
-                np.array([compact_trace_penalty(last_inv, design.S_emb(r))
-                          for r in range(design.n_lambda)]), tr_S)
-        else:
-            last_traces = None
+        cur_traces = np.minimum(tr_H, tr_S)
+        last_traces = None if last_inv is None else \
+            np.minimum(traces(last_inv), tr_S)
         if qefs_accept(cur_traces, last_traces, tr_S, quads):
             chosen = cur_traces
             last_inv = inv_rep
         else:
             chosen = last_traces
+        return _Evaluation(f_cur, tr_S, tr_H, quads, tr_step=chosen)
 
-        if control.lambda_control == "gradient_check" and pending is not None:
-            approx_grad = -quads / 2.0 + 0.5 * tr_S - 0.5 * chosen
-            if float(approx_grad @ pending) < 0:
-                lams = _clip_lams(lams - pending / 2.0)
-                pending = pending / 2.0
-                continue
+    def finish(point, ev, lams):
+        beta, pen_final, inv_rep, h_psd = point
+        factor = cholesky_of_compact(h_psd, S_lam)
+        return np.ones(n_p, dtype=bool), dict(
+            beta=beta, reml=reml_value(design, factor, lams, pen_final,
+                                       phi=1.0),
+            penalized_llk=pen_final, llk=llk(beta), engine="lqefs",
+            diagnostics={"n_v": n_v, "update": control.update,
+                         "queue_len": queue_rep.m,
+                         "skipped_pairs": queue_rep.skipped,
+                         "inv_rep": inv_rep, "h_rep": h_psd,
+                         "storage_floats": (inv_rep.storage_floats() +
+                                            h_psd.storage_floats())},
+            _design=design, _factor=factor, _family=family)
 
-        if pen_prev is not None:
-            rel = abs(f_cur - pen_prev) / (abs(f_cur) + 1e-12)
-            rho_move = np.max(np.abs(np.log(lams) - np.log(lams_prev))) \
-                if lams_prev is not None else np.inf
-            # converged when the objective settles, or when the weights stop
-            # moving and the objective change is down to line-search jitter
-            if rel < control.tol or (rho_move < 1e-3 and rel < 100 * control.tol):
-                converged = True
-                break
-        pen_prev = f_cur
-        lams_prev = lams.copy()
+    def settled(rel, lams, lams_prev):
+        # the weights stopped moving and the objective change is down to
+        # line-search jitter
+        return np.max(np.abs(np.log(lams) - np.log(lams_prev))) < 1e-3 \
+            and rel < 100 * control.tol
 
-        pending = np.zeros(design.n_lambda)
-        for r in range(design.n_lambda):
-            delta, clamped = efs_step(lams[r], tr_S[r], chosen[r], quads[r],
-                                      1.0)
-            # cap the log-scale movement per round: single noisy trace
-            # estimates must not swing a weight across its whole range
-            new = np.clip(lams[r] + delta, lams[r] * np.exp(-RHO_STEP_MAX),
-                          lams[r] * np.exp(RHO_STEP_MAX))
-            pending[r] = new - lams[r]
-            lam_clamped[r] |= clamped
-        lams = _clip_lams(lams + pending)
-
-    S_lam = design.S_lambda(lams)
-    tr_S = design.trace_sinv(lams)
-    quads = design.quad_forms(beta)
-    traces = np.array([compact_trace_penalty(inv_rep, design.S_emb(r))
-                       for r in range(design.n_lambda)])
-    edf = n_p - float(np.sum(lams * traces))
-    factor = cholesky_of_compact(h_psd, S_lam)
-    llk_final = llk(beta)
-    pen_final = llk_final - 0.5 * float(beta @ (S_lam @ beta))
-    reml = reml_value(design, factor, lams, pen_final, phi=1.0)
-    state = FitState(
-        beta=beta, lam=lams, phi=1.0, edf=edf, reml=reml,
-        penalized_llk=pen_final, llk=llk_final, iterations=it,
-        converged=converged, engine="lqefs",
-        diagnostics={"lambda_clamped": lam_clamped.tolist(),
-                     "tr_S": tr_S.tolist(), "tr_H": traces.tolist(),
-                     "quads": quads.tolist(), "n_v": n_v,
-                     "update": control.update,
-                     "queue_len": queue_rep.m,
-                     "skipped_pairs": queue_rep.skipped,
-                     "inv_rep": inv_rep, "h_rep": h_psd,
-                     "storage_floats": (inv_rep.storage_floats() +
-                                        h_psd.storage_floats())},
-        _design=design, _factor=factor, _family=family)
-    # per-term edf via compact traces of the penalized inverse
-    term_edf = {}
-    for t in design.terms:
-        cols = np.arange(t.col_start, t.col_start + t.col_count)
-        ecols = np.zeros((n_p, cols.size))
-        ecols[cols, np.arange(cols.size)] = 1.0
-        Happ = np.column_stack([h_psd.matvec(ecols[:, j])
-                                for j in range(cols.size)])
-        sol = np.column_stack([inv_rep.matvec(Happ[:, j])
-                               for j in range(cols.size)])
-        term_edf[t.spec.name] = float(np.sum(sol[cols,
-                                                 np.arange(cols.size)]))
-    state.term_edf = term_edf
-    return state
+    return _efs_loop(design, solve, evaluate, finish, control, max_half=0,
+                     rho_step_max=RHO_STEP_MAX, settled=settled)

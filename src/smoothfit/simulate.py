@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from .design import ModelSpec, TermSpec, build_design
-from .efs import EFSControl, fit_additive
+from .efs import fit_additive
 from .errors import SpecError
 from .lqefs import LqefsControl, lqefs_fit
 from .uncertainty import caic

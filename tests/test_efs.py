@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smoothfit import efs
+from smoothfit import efs, lqefs
 from smoothfit.design import ModelSpec, TermSpec, build_design
 from smoothfit.errors import NumericError, SpecError
 from smoothfit.families import (CoxphFamily, GamlssFamily, GeneralFamily,
-                                get_family, get_link)
+                                get_family, get_link, pseudo_data)
 from smoothfit.simulate import (draw_covariates, eta_fixed, f_c, gen_hazard,
                                 spec_fixed, to_unit)
 
@@ -273,17 +275,18 @@ class TestFitAdditive:
         np.testing.assert_allclose(fit1.beta, fit2.beta, atol=1e-8)
 
     def test_penalized_deviance_nonincreasing(self):
-        # with gradient-checked lambda control and beta halving the accepted
-        # penalized deviance never increases for a Gaussian additive model
+        # with gradient-checked lambda control and beta halving the
+        # penalized deviance of the returned point never increases from one
+        # outer iteration to the next
         design, y, _, _ = gaussian_problem(n=250, seed=8, covs="vx")
-        seen = []
-        orig = efs._WorkingModel.pen_deviance
-
-        def spy(self, beta, lams):
-            out = orig(self, beta, lams)
-            return out
         fit = efs.fit_additive(design, y)
-        assert fit.converged
+        assert fit.converged and fit.iterations > 5
+        devs = [efs.fit_additive(design, y, efs.EFSControl(max_outer=k))
+                .diagnostics["penalized_deviance"]
+                for k in range(1, fit.iterations + 1)]
+        assert devs[-1] == fit.diagnostics["penalized_deviance"]
+        for prev, cur in zip(devs, devs[1:]):
+            assert cur <= prev + 1e-9 * abs(prev)
 
 
 def multilevel_fit(seed, n=2000, n_subj=10):
@@ -302,7 +305,7 @@ def multilevel_fit(seed, n=2000, n_subj=10):
                             eta + rng.normal(0, np.sqrt(2.0), n))
 
 
-def poisson_gam_fit(n=300, seed=21):
+def poisson_problem(n=300, seed=21):
     rng = np.random.default_rng(seed)
     data = draw_covariates(rng, n)
     eta = 0.3 * eta_fixed(data["v"], data["w"], data["x"], data["z"]) - 1.0
@@ -310,6 +313,11 @@ def poisson_gam_fit(n=300, seed=21):
     d = build_design(ModelSpec([TermSpec("intercept"),
                                 TermSpec("smooth", ["v"], k=8),
                                 TermSpec("smooth", ["x"], k=8)]), data)
+    return d, y
+
+
+def poisson_gam_fit(n=300, seed=21):
+    d, y = poisson_problem(n, seed)
     return efs.fit_gam(d, y, get_family("poisson"))
 
 
@@ -542,28 +550,37 @@ class TestNewtonAndSafety:
         rng = np.random.default_rng(15)
         d = self._toy_design(6)
         lams = np.array([1.0])
-        # PSD H: loop body never entered
+        S = np.asarray(d.S_lambda(lams).todense())
+        # PSD H: no ridge, and the check passes at once
         M = rng.standard_normal((6, 6))
         H_psd = sp.csc_array(M @ M.T)
         system = efs.PenalizedSystem(d, base=H_psd + sp.eye_array(6))
-        Hp = sp.csc_array(H_psd + d.S_lambda(lams))
-        factor, eps0 = efs._factor_with_ridge(system, Hp,
-                                              sp.linalg.norm(H_psd))
+        factor, eps0 = efs._ridge_factor(system, H_psd, lams)
+        assert eps0 == 0.0
         factor, eps, tr_S, tr_H = efs.make_efs_safe(H_psd, d, lams, system,
                                                     factor, eps0)
         assert eps == eps0
-        # indefinite H: exit with every numerator non-negative
+        # indefinite H: the ridge climbs the one ladder, the factor is of
+        # H + S_lambda + eps I, and every numerator ends non-negative
         H_ind = sp.csc_array(H_psd - 1.5 * np.eye(6))
         system2 = efs.PenalizedSystem(d, base=H_ind + sp.eye_array(6))
-        Hp2 = sp.csc_array(H_ind + d.S_lambda(lams))
-        factor2, eps2 = efs._factor_with_ridge(system2, Hp2,
-                                               sp.linalg.norm(H_ind))
+        factor2, eps2 = efs._ridge_factor(system2, H_ind, lams)
         factor2, eps2, tr_S2, tr_H2 = efs.make_efs_safe(
             H_ind, d, lams, system2, factor2, eps2)
+        assert eps2 > 0.0
+        rung = np.log10(eps2 / (1e-8 * sp.linalg.norm(H_ind)))
+        assert abs(rung - round(rung)) < 1e-9
+        A = H_ind.toarray() + S + eps2 * np.eye(6)
+        x = rng.standard_normal(6)
+        np.testing.assert_allclose(A @ factor2.solve(x), x, atol=1e-9)
         assert np.all(tr_S2 - tr_H2 >= -1e-10)
         # the subsequent update stays positive
         delta, _ = efs.efs_step(lams[0], tr_S2[0], tr_H2[0], 0.5, 1.0)
         assert lams[0] + delta > 0
+        # a matrix no ridge up to the cap can rescue
+        with pytest.raises(NumericError):
+            efs._ridge_factor(system2, H_ind, lams,
+                              accept=lambda f: False)
 
 
 class TestStabilize:
@@ -728,3 +745,119 @@ class TestFitGsmm:
         fit_ls = efs.fit_gsmm(d2, GamlssFamily("gaussian_ls", y))
         sigma2_ls = np.exp(2 * fit_ls.beta[-1])
         assert sigma2_ls < fit_gam.phi
+
+    def test_term_edfs_match_dense_oracle(self):
+        # at eps = 0 a term's edf is the sum of diag(H_p^{-1} H) over its
+        # columns, in the working coordinates
+        rng = np.random.default_rng(26)
+        n = 400
+        x = rng.uniform(-1, 1, n)
+        z = rng.uniform(-1, 1, n)
+        y = rng.normal(2 * np.sin(np.pi * to_unit(x)),
+                       np.exp(0.4 * np.cos(np.pi * to_unit(z)) - 0.5))
+        spec = ModelSpec([
+            TermSpec("intercept"), TermSpec("smooth", ["x"], k=8),
+            TermSpec("intercept", parameter_index=1),
+            TermSpec("smooth", ["z"], k=8, parameter_index=1)])
+        d = build_design(spec, {"x": x, "z": z})
+        fit = efs.fit_gsmm(d, GamlssFamily("gaussian_ls", y))
+        assert fit.converged and fit.eps_H == 0.0 and not fit.dropped
+        H = fit.diagnostics["H_llk"].toarray()
+        Hp = H + fit.work_design.S_lambda(fit.lam).toarray()
+        diag = np.diag(np.linalg.solve(Hp, H))
+        for t in d.terms:
+            ref = float(np.sum(diag[t.col_start:t.col_start + t.col_count]))
+            assert abs(fit.term_edf[t.spec.name] - ref) <= 1e-9 * max(
+                abs(ref), 1.0), (t.spec.name, fit.term_edf[t.spec.name], ref)
+
+
+def cox_problem(n=400, seed=0):
+    rng = np.random.default_rng(seed)
+    data, _, t = gen_hazard(rng, n, k=1)
+    d = build_design(ModelSpec([TermSpec("smooth", ["x"], k=10)]), data)
+    return d, CoxphFamily(t, np.ones(n))
+
+
+class TestExitConsistency:
+    """A fit stopped by max_outer returns coefficients that solve the
+    penalized problem at the lambda it returns."""
+
+    def test_am(self):
+        design, y, _, _ = gaussian_problem(n=250, seed=8, covs="vx")
+        fit = efs.fit_additive(design, y, efs.EFSControl(max_outer=2))
+        assert not fit.converged
+        beta, _ = efs.solve_penalized(design.X_full, design.to_internal(y),
+                                      None, design, fit.lam)
+        np.testing.assert_allclose(fit.beta, beta, rtol=0, atol=1e-10)
+
+    def test_gam(self):
+        # with the pseudo-data loop run to convergence, one more Fisher step
+        # at the returned lambda stays put
+        design, y = poisson_problem()
+        fam, link = get_family("poisson"), get_link("log")
+        fit = efs.fit_gam(design, y, fam, link, efs.EFSControl(
+            max_outer=2, max_inner=100, tol=1e-12))
+        assert not fit.converged
+        mu, _ = link.clamp(link.inverse(np.asarray(design.X_full
+                                                   @ fit.beta)))
+        z, w, _ = pseudo_data(design.to_internal(y), mu, link, fam)
+        beta, _ = efs.solve_penalized(design.X_full, z, w, design, fit.lam)
+        np.testing.assert_allclose(fit.beta, beta, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gsmm(self, seed):
+        d, fam = cox_problem(seed=seed)
+        fit = efs.fit_gsmm(d, fam, efs.EFSControl(max_outer=2))
+        assert not fit.converged
+        beta0 = fit._to_work(fit.beta)
+        beta = efs.newton_beta(fit.work_design, fam, fit.lam,
+                               beta0=beta0)[0]
+        assert np.abs(beta - beta0).max() < 1e-6
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("max_outer", [1, 2])
+    def test_lqefs(self, seed, max_outer):
+        # the Newton decrement g^T H_p^{-1} g at the returned lambda is
+        # within the tolerance that ends the engine's inner phases
+        d, fam = cox_problem(seed=seed)
+        fit = lqefs.lqefs_fit(d, fam, lqefs.LqefsControl(max_outer=max_outer))
+        assert not fit.converged
+        S = d.S_lambda(fit.lam)
+        g = fam.grad(fit.beta, d) - S @ fit.beta
+        Hp = S.toarray() - np.asarray(fam.hess(fit.beta, d))
+        decrement = float(g @ np.linalg.solve(Hp, g))
+        assert decrement <= lqefs.PHASE_TOL * abs(fit.penalized_llk)
+
+
+def _small_fit(engine, seed, n_smooths, k):
+    """A small random model of ``n_smooths`` smooths fitted by ``engine``."""
+    rng = np.random.default_rng(seed)
+    n = 150
+    data = draw_covariates(rng, n)
+    covs = "vxz"[:n_smooths]
+    smooths = [TermSpec("smooth", [c], k=k) for c in covs]
+    eta = sum(np.sin(np.pi * to_unit(data[c]) * (j + 1))
+              for j, c in enumerate(covs))
+    if engine in ("gsmm", "lqefs"):
+        d = build_design(ModelSpec(smooths), data)
+        t = (-np.log(rng.uniform(size=n))) / np.exp(0.5 * eta)
+        fam = CoxphFamily(t, np.ones(n))
+        if engine == "gsmm":
+            return efs.fit_gsmm(d, fam)
+        return lqefs.lqefs_fit(d, fam, lqefs.LqefsControl(n_v=10))
+    d = build_design(ModelSpec([TermSpec("intercept")] + smooths), data)
+    if engine == "am":
+        return efs.fit_additive(d, eta + rng.normal(0.0, 0.5, n))
+    y = rng.poisson(np.exp(0.5 * eta)).astype(float)
+    return efs.fit_gam(d, y, get_family("poisson"))
+
+
+@pytest.mark.parametrize("engine", ["am", "gam", "gsmm", "lqefs"])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_smooths=st.integers(1, 3),
+       k=st.integers(5, 8))
+def test_term_edfs_sum_to_edf(engine, seed, n_smooths, k):
+    fit = _small_fit(engine, seed, n_smooths, k)
+    assert np.isfinite(fit.edf)
+    assert abs(sum(fit.term_edf.values()) - fit.edf) <= 1e-10 * max(
+        fit.edf, 1.0)

@@ -488,3 +488,16 @@ class TestLqefsFit:
         tr_S = np.asarray(fit.diagnostics["tr_S"])
         tr_H = np.asarray(fit.diagnostics["tr_H"])
         assert np.all(tr_S - tr_H >= -1e-10 * np.maximum(tr_S, 1.0))
+
+    def test_term_edfs_match_dense_oracle(self):
+        # a term's edf is the sum of diag((H_hat + S_lambda)^{-1} H_hat)
+        # over its columns
+        d, y = self._gaussian(n=150, seed=21)
+        fit = lqefs_fit(d, _GaussianFixedScale(y),
+                        LqefsControl(n_v=10, seed=5))
+        H = fit.diagnostics["h_rep"].dense()
+        diag = np.diag(np.linalg.solve(H + d.S_lambda(fit.lam).toarray(), H))
+        for t in d.terms:
+            ref = float(np.sum(diag[t.col_start:t.col_start + t.col_count]))
+            assert abs(fit.term_edf[t.spec.name] - ref) <= 1e-9 * max(
+                abs(ref), 1.0), (t.spec.name, fit.term_edf[t.spec.name], ref)
