@@ -26,7 +26,7 @@ from .design import ModelSpec, TermSpec, build_design, _term_rows, \
 from .efs import EFSControl, fit_additive, fit_gam, fit_gsmm
 from .errors import NumericError, SmoothfitError, SpecError
 from .families import CoxphFamily, GamlssFamily, get_family, get_link
-from .lqefs import LqefsControl, lqefs_fit
+from .lqefs import DenseUpperFactor, LqefsControl, lqefs_fit
 from .simulate import STUDIES, run_study
 from .uncertainty import caic, credible_intervals, sample_beta_conditional
 
@@ -175,8 +175,7 @@ def build_artifact(doc, config, fit, design):
         "family": config["family"],
         "link": config["link"],
         "options": {"nv": config.get("nv"), "max_inner": config.get("max_inner"),
-                    "tol": config.get("tol"), "seed": config.get("seed"),
-                    "method": config.get("method", "cholesky")},
+                    "tol": config.get("tol"), "seed": config.get("seed")},
         "n_obs": design.N,
         "n_coef": design.N_p,
         "n_lambda": design.n_lambda,
@@ -216,29 +215,25 @@ def _save_sidecar(path, fit):
                        perm=factor.perm, kind=np.array("cholesky"))
         if factor.dscale is not None:
             payload["dscale"] = factor.dscale
-    elif hasattr(factor, "R"):
-        R = factor.R
-        payload.update(R=np.asarray(R.todense()) if hasattr(R, "todense")
-                       else np.asarray(R), kind=np.array("dense_r"))
-        if hasattr(factor, "perm"):
-            payload["perm"] = factor.perm
-            payload["kept"] = factor._keep
+    else:
+        payload.update(R=factor.R, kind=np.array("dense_r"))
     if fit._transform is not None:
         T = fit._transform.tocoo()
         payload.update(T_row=T.row, T_col=T.col, T_val=T.data,
                        T_shape=np.array(T.shape))
-    keep = fit.diagnostics.get("keep")
-    if keep is not None:
-        payload["keep"] = keep
+    if fit.dropped:
+        payload["keep"] = fit._keep
     np.savez(path, **payload)
 
 
 def _load_sidecar(path, beta):
     """(factor, T, keep) from a sidecar written by :func:`_save_sidecar`.
 
-    Raises ValueError when the stored arrays do not fit together, or when
+    Raises ValueError when the stored arrays do not fit together, when
     the stored coefficients are not exactly the artifact's ``beta`` (the
-    sidecar of another fit), and KeyError when an array is missing.
+    sidecar of another fit) or when a ``dense_r`` factor carries a column
+    ordering (``perm``, ``kept``: an earlier version's QR factor, whose R
+    is in permuted column order), and KeyError when an array is missing.
     """
     n_coef = beta.size
     with np.load(path, allow_pickle=False) as data:
@@ -261,10 +256,11 @@ def _load_sidecar(path, beta):
                                  f"coefficients")
         n = n_work if keep is None else keep.size
         kind = str(data["kind"])
-        perm = data["perm"] if "perm" in data else np.arange(n)
-        if not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ValueError(f"stored ordering is not a permutation of {n}")
         if kind == "cholesky":
+            perm = data["perm"]
+            if not np.array_equal(np.sort(perm), np.arange(n)):
+                raise ValueError(f"stored ordering is not a permutation of "
+                                 f"{n}")
             L = sp.csc_array((data["Lx"], data["Li"], data["Lp"]),
                              shape=(n, n))
             L.check_format(full_check=True)   # indices inside the matrix
@@ -274,12 +270,13 @@ def _load_sidecar(path, beta):
             return (sparsela.CholeskyFactor.from_lower(L, perm, dscale), T,
                     keep)
         if kind == "dense_r":
+            if "perm" in data or "kept" in data:
+                raise ValueError("dense factor in permuted column order "
+                                 "(an earlier version's QR route)")
             R = data["R"]
             if R.shape != (n, n):
                 raise ValueError(f"R is {R.shape}, expected {(n, n)}")
-            kept = data["kept"] if "kept" in data else np.arange(n)
-            dropped = sorted(set(range(n)) - set(kept.tolist()))
-            return sparsela.QRFactor(R, perm, dropped, None), T, keep
+            return DenseUpperFactor(R), T, keep
         raise ValueError(f"unknown factor kind {kind!r}")
 
 
@@ -352,8 +349,7 @@ class RestoredFit:
 
 def _control_from(args_like):
     return EFSControl(max_inner=args_like.get("max_inner", 1),
-                      tol=args_like.get("tol", 1e-7),
-                      method=args_like.get("method", "cholesky"))
+                      tol=args_like.get("tol", 1e-7))
 
 
 def fit_from_config(doc, data, config):
@@ -367,7 +363,7 @@ def fit_from_config(doc, data, config):
     if resp not in data:
         raise SpecError(f"response column {resp!r} not in the data")
     design = build_design(spec, data)
-    opts = {k: config[k] for k in ("max_inner", "tol", "method")
+    opts = {k: config[k] for k in ("max_inner", "tol")
             if config.get(k) is not None}
     if engine == "am":
         if family != "gaussian" or link not in (None, "identity"):
@@ -429,7 +425,7 @@ def cmd_fit(args):
     doc = read_spec_doc(args.spec)
     config = {"engine": args.engine, "family": args.family,
               "link": args.link, "nv": args.nv, "max_inner": args.max_inner,
-              "tol": args.tol, "seed": args.seed, "method": args.method}
+              "tol": args.tol, "seed": args.seed}
     fit, design, _ = fit_from_config(doc, data, config)
     artifact = build_artifact(doc, config, fit, design)
     save_artifact(args.out, artifact, fit=fit, sidecar=not args.no_cache)
@@ -560,8 +556,6 @@ def build_parser():
     fit.add_argument("--max-inner", dest="max_inner", type=int, default=1)
     fit.add_argument("--tol", type=float, default=1e-7)
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--method", default="cholesky",
-                     choices=["cholesky", "qr"])
     fit.add_argument("--out", required=True)
     fit.add_argument("--no-cache", action="store_true",
                      help="skip the binary factor sidecar")

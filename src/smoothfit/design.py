@@ -341,12 +341,6 @@ class PenalizedDesign:
         end = int(np.sum(widths[:r + 1]))
         return B[:, end - widths[r]:end]
 
-    def E_lambda(self, lams):
-        """Root of the total penalty for the stacked-QR route."""
-        parts = [self.D_root(r) * np.sqrt(lams[r])
-                 for r in range(self.n_lambda)]
-        return sp.csc_array(sp.hstack(parts, format="csc"))
-
     @property
     def penalty_rank(self):
         return sum(c.rank for c in self.clusters)

@@ -21,13 +21,20 @@ next update and solve.  The returned coefficients always solve the problem
 at the returned lambda.  An engine supplies three parts:
 
 * ``solve(lams, start)`` -- the point at ``lams`` from ``start`` (``None``
-  at first): Fisher steps for am/gam, Newton plus a one-time rank check for
-  gsmm;
+  at first): Fisher steps for am/gam, Newton steps for gsmm;
 * ``evaluate(point, lams)`` -- an :class:`_Evaluation`: the objective
   (penalized deviance or log-likelihood), the scale, tr(S_lambda^- S^r),
   tr(H_p^{-1} S^r) and beta^T S^r beta;
-* ``finish(point, ev, lams)`` -- the retained columns and the engine's
-  REML score, log-likelihood, factor and diagnostics.
+* ``finish(point, ev, lams)`` -- the retained columns (indices) and the
+  engine's REML score, log-likelihood, factor and diagnostics.
+
+The exact engines (am, gam, gsmm) have one solve route, the sparse
+Cholesky factor of the penalized Hessian, and one rank check, run at the
+first solve (:func:`rank_check`): when that factor fails, needs a ridge or
+is ill-conditioned, the columns that no penalty identifies are removed
+from the design and the point is solved again on the retained columns.
+The fit then reports beta with zeros at the dropped columns and its REML
+score on the retained ones.
 
 A term's EDF is its retained columns less the sum of lambda_r tr(H_p^{-1}
 S^r) over its r, since every S^r lies inside its term's column block.
@@ -56,7 +63,6 @@ class EFSControl:
     max_outer: int = 200
     max_inner: int = 1
     tol: float = 1e-7
-    method: str = "cholesky"                 # or "qr"
     stabilize: bool = True
 
     def __post_init__(self):
@@ -64,8 +70,6 @@ class EFSControl:
             raise SpecError("max_inner must be at least 1")
         if self.tol <= 0:
             raise SpecError("tol must be positive")
-        if self.method not in ("cholesky", "qr"):
-            raise SpecError("method must be 'cholesky' or 'qr'")
 
 
 @dataclass
@@ -177,8 +181,9 @@ class PenalizedSystem:
     values of ``base + S_lambda``.
 
     ``base`` is the matrix whose pattern joins the penalties': X^T X of the
-    design by default, I for the quasi-Newton H0, and for the Newton engine
-    a pattern-only union of X^T X, H and I whose values go unused.  The
+    design by default, I for the quasi-Newton H0, and pattern-only
+    matrices whose values go unused for the weighted working model
+    (|X|^T |X|) and the Newton engine (the union of X^T X, H and I).  The
     pattern depends neither on the weights nor on the regularization
     parameters, so the ordering, the symbolic analysis and the values of
     ``base`` and of every embedded S^r in the pattern's slots are computed
@@ -228,15 +233,13 @@ class PenalizedSystem:
         return self.symbolic.factor(self.align_values(A), dscale=dscale)
 
 
-def solve_penalized(X, response, w, design, lams, method="cholesky",
-                    system=None, perm=None):
+def solve_penalized(X, response, w, design, lams, system=None):
     """Solve (X^T W X + S_lambda) beta = X^T W response.
 
-    The Cholesky path factors the normal matrix with the cached
+    The normal matrix is factored by a sparse Cholesky with the cached
     fill-reducing permutation: with a ``system`` built on this design's
     X^T X, its values are the cached ones plus the aligned X^T W X for
-    non-unit weights.  The QR path works on the stacked
-    [sqrt(W) X; E_lambda^T] system and reports unidentifiable columns.
+    non-unit weights.
 
     Returns ``(beta, factor)``: ``beta`` is a 1-D array of length N_p, even
     when N_p = 1, and ``factor`` is the factor of the penalized Hessian.
@@ -247,22 +250,14 @@ def solve_penalized(X, response, w, design, lams, method="cholesky",
     if np.any(w < 0):
         raise SpecError("negative working weights")
     rhs = np.asarray(X.T @ (w * np.asarray(response, dtype=float)))
-    if method == "cholesky":
-        XtWX = None if unit_w else X.T @ X.multiply(w[:, None])
-        if system is None:
-            A = (X.T @ X if unit_w else XtWX) + design.S_lambda(lams)
-            factor = sparsela.pivoted_cholesky(sp.csc_array(A), perm=perm)
-        else:
-            base = system.base_vals if unit_w else \
-                system.align_values(XtWX)
-            factor = system.symbolic.factor(
-                base + np.asarray(lams, dtype=float) @ system.S_vals)
-        return factor.solve(rhs), factor
-    sw = np.sqrt(w)
-    Xs = sp.csr_array(X.multiply(sw[:, None]))
-    E = design.E_lambda(lams)
-    factor = sparsela.penalized_qr(Xs, E,
-                                   perm=system.perm if system else perm)
+    XtWX = None if unit_w else X.T @ X.multiply(w[:, None])
+    if system is None:
+        A = (X.T @ X if unit_w else XtWX) + design.S_lambda(lams)
+        factor = sparsela.pivoted_cholesky(sp.csc_array(A))
+    else:
+        base = system.base_vals if unit_w else system.align_values(XtWX)
+        factor = system.symbolic.factor(
+            base + np.asarray(lams, dtype=float) @ system.S_vals)
     return factor.solve(rhs), factor
 
 
@@ -295,15 +290,15 @@ def estimate_phi(rss_pen, n, mp):
     return max(phi, 1e-12)
 
 
-def reml_value(design, factor, lams, llk_pen, phi=1.0, n_active=None):
+def reml_value(design, factor, lams, llk_pen, phi=1.0):
     """Laplace REML criterion: L_pen + 0.5 log|S/phi|_+ - 0.5 log|H_p|.
 
-    ``factor`` factors the unscaled penalized Hessian; the lambda-constant
+    ``factor`` factors the unscaled penalized Hessian of ``design`` (the
+    retained columns of a fit that dropped some); the lambda-constant
     additive term is omitted.
     """
-    n_active = design.N_p if n_active is None else n_active
     ld_s = design.logdet_S_plus(lams) - design.penalty_rank * np.log(phi)
-    ld_h = factor.logdet - n_active * np.log(phi)
+    ld_h = factor.logdet - design.N_p * np.log(phi)
     return float(llk_pen + 0.5 * ld_s - 0.5 * ld_h)
 
 
@@ -395,7 +390,9 @@ def _efs_loop(design, solve, evaluate, finish, control, max_half=MAX_HALF,
     if not converged:
         ev = evaluate(point, lams)
 
-    kept, fields = finish(point, ev, lams)
+    keep, fields = finish(point, ev, lams)
+    kept = np.zeros(design.N_p, dtype=bool)
+    kept[keep] = True
     term_edf = {
         t.spec.name: float(np.count_nonzero(
             kept[t.col_start:t.col_start + t.col_count])
@@ -406,8 +403,9 @@ def _efs_loop(design, solve, evaluate, finish, control, max_half=MAX_HALF,
                    "quads": ev.quads.tolist(), **fields.pop("diagnostics")}
     edf = float(np.count_nonzero(kept) - np.sum(lams * ev.tr_H))
     return FitState(lam=lams, phi=ev.phi, edf=edf, iterations=it,
-                    converged=converged, term_edf=term_edf,
-                    diagnostics=diagnostics, **fields)
+                    converged=converged,
+                    dropped=set(np.flatnonzero(~kept).tolist()),
+                    term_edf=term_edf, diagnostics=diagnostics, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +429,9 @@ def fit_gam(design, y, family, link=None, control=None):
 
 class _WorkingModel:
     """The am/gam engine: linearize+solve steps of the working
-    (pseudo-data) model.  A point is ``(beta, penalized deviance, mu,
-    factor, z, w)``."""
+    (pseudo-data) model on the retained columns ``keep`` of the design,
+    whose design is ``active``.  A point is ``(beta, penalized deviance,
+    mu, factor, z, w)`` with beta over the retained columns."""
 
     def __init__(self, design, yv, family, link, control, engine):
         self.engine = engine
@@ -441,12 +440,9 @@ class _WorkingModel:
         self.family = family
         self.link = link
         self.control = control
-        self.X = design.X_full
         self.gaussian_identity = isinstance(family, Gaussian) and \
             isinstance(link, IdentityLink)
-        self.system = PenalizedSystem(design)
         self.clamp_events = 0
-        self.dropped = set()
 
     def linearize(self, mu):
         if self.gaussian_identity:
@@ -458,7 +454,7 @@ class _WorkingModel:
     def pen_deviance(self, beta, lams):
         mu = self.link.inverse(np.asarray(self.X @ beta))
         mu, _ = self.link.clamp(mu)
-        pen = float(np.asarray(lams) @ self.design.quad_forms(beta))
+        pen = float(np.asarray(lams) @ self.active.quad_forms(beta))
         return self.family.deviance(self.yv, mu) + pen, mu
 
     def halve_beta(self, beta_new, beta_old, dev_old, lams):
@@ -474,18 +470,15 @@ class _WorkingModel:
             tries += 1
         return beta_new, dev_new, mu_new
 
-    def step(self, lams, mu, beta_prev):
-        """Linearize at mu, solve at lams, apply beta step control.
+    def step(self, lams, z, w, beta_prev):
+        """Solve the working model (z, w) at lams, apply beta step control.
 
         The reference objective for step control is re-evaluated at the
         current lams (the previous accepted deviance belongs to the old
         penalty and is not comparable).
         """
-        z, w = self.linearize(mu)
-        beta_new, factor = solve_penalized(self.X, z, w, self.design, lams,
-                                           method=self.control.method,
+        beta_new, factor = solve_penalized(self.X, z, w, self.active, lams,
                                            system=self.system)
-        self.dropped |= set(getattr(factor, "dropped", set()))
         if beta_prev is None or self.gaussian_identity:
             dev, mu_new = self.pen_deviance(beta_new, lams)
             return beta_new, dev, mu_new, factor, z, w
@@ -499,22 +492,38 @@ class _WorkingModel:
             return 1.0
         wq = np.ones(self.design.N) if w is None else w
         resid = np.sqrt(wq) * (z - np.asarray(self.X @ beta))
-        pen = float(np.asarray(lams) @ self.design.quad_forms(beta))
-        mp = self.design.N_p - self.design.penalty_rank
+        pen = float(np.asarray(lams) @ self.active.quad_forms(beta))
+        mp = self.active.N_p - self.active.penalty_rank
         return estimate_phi(float(resid @ resid) + pen, self.design.N, mp)
 
     def solve(self, lams, start):
-        """One step from the initial mu at first; then up to ``max_inner``
-        steps, until the penalized deviance settles."""
+        """One step from the initial mu at first, through the rank check on
+        X^T W X; then up to ``max_inner`` steps, until the penalized
+        deviance settles."""
         if start is None:
             mu = self.family.init_mu(self.yv)
             if not self.gaussian_identity:
                 mu, _ = self.link.clamp(mu)
-            return self.step(lams, mu, None)
+            z, w = self.linearize(mu)
+
+            def solve_on(active, keep):
+                self.active, self.keep = active, keep
+                X = self.X = active.X_full
+                # scipy's sparse product drops exact-zero sums of X^T X (a
+                # sum-to-zero smooth column against the intercept) that
+                # X^T W X fills, so weighted models take |X|^T |X|
+                self.system = PenalizedSystem(
+                    active, None if w is None else abs(X).T @ abs(X))
+                point = self.step(lams, z, w, None)
+                return point, point[3], 0.0
+
+            X = self.design.X_full
+            return rank_check(self.design, solve_on, lambda _: X.T @ (
+                X if w is None else X.multiply(w[:, None])))
         beta, dev, mu = start[:3]
         for _ in range(1 if self.gaussian_identity
                        else self.control.max_inner):
-            point = self.step(lams, mu, beta)
+            point = self.step(lams, *self.linearize(mu), beta)
             done = abs(dev - point[1]) < self.control.tol * (
                 abs(point[1]) + 1.0)
             beta, dev, mu = point[:3]
@@ -525,14 +534,14 @@ class _WorkingModel:
     def evaluate(self, point, lams):
         beta, dev, _, factor, z, w = point
         phi = self.phi_hat(beta, lams, z, w)
-        _, tr_S, tr_H, quads = reml_grad(self.design, factor, lams, beta,
+        _, tr_S, tr_H, quads = reml_grad(self.active, factor, lams, beta,
                                          phi=phi)
         return _Evaluation(dev, tr_S, tr_H, quads, phi)
 
     def finish(self, point, ev, lams):
-        design, phi = self.design, ev.phi
+        design, active, phi = self.design, self.active, ev.phi
         beta, dev_pen, _, factor, z, w = point
-        pen = float(np.asarray(lams) @ design.quad_forms(beta))
+        pen = float(np.asarray(lams) @ active.quad_forms(beta))
         mu_fit = self.link.inverse(np.asarray(self.X @ beta))
         llk = float(np.sum(self.family.log_density(
             self.yv, self.link.clamp(mu_fit)[0], phi)))
@@ -546,17 +555,17 @@ class _WorkingModel:
                              - 0.5 * design.N * np.log(2.0 * np.pi * phi)
                              - float(resid @ resid) / (2.0 * phi))
             llk_reml = llk_work - pen / (2.0 * phi)
-        reml = reml_value(design, factor, lams, llk_reml, phi=phi,
-                          n_active=design.N_p - len(self.dropped))
-        kept = np.ones(design.N_p, dtype=bool)
-        kept[sorted(self.dropped)] = False
-        return kept, dict(
-            beta=beta, reml=reml, penalized_llk=llk_pen, llk=llk,
-            dropped=self.dropped, engine=self.engine,
+        beta_full = np.zeros(design.N_p)
+        beta_full[self.keep] = beta
+        return self.keep, dict(
+            beta=beta_full,
+            reml=reml_value(active, factor, lams, llk_reml, phi=phi),
+            penalized_llk=llk_pen, llk=llk, engine=self.engine,
             diagnostics={"mu_clamp_events": self.clamp_events,
                          "reml_grad_lambda": ev.grad.tolist(),
                          "factor_nnz": factor.nnz_L(),
-                         "penalized_deviance": dev_pen},
+                         "penalized_deviance": dev_pen,
+                         "work_design": active, "keep": self.keep},
             _design=design, _factor=factor, _weights=w, _family=self.family,
             _link=self.link, _y=self.yv)
 
@@ -575,38 +584,22 @@ def _fit_working(design, y, family, link, control, engine):
 # stabilization, rank interrogation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Stabilizer:
-    """Orthogonal per-block reparameterization plus preconditioner hook.
-
-    ``T`` is block-diagonal orthogonal: on every penalized cluster it holds
-    the eigenvectors of the balanced local penalty, identity elsewhere.
-    Coefficients transform as beta = T beta_work.
-    """
-
-    T: object
-
-    def apply(self, beta_work):
-        return np.asarray(self.T @ beta_work)
-
-    def reverse(self, beta):
-        return np.asarray(self.T.T @ beta)
-
-    @staticmethod
-    def preconditioner(h_diag):
-        """Diagonal D with D_ii = |H_ii|^{-1/2}; zero diagonals get 1."""
-        d = np.abs(np.asarray(h_diag, dtype=float))
-        out = np.ones_like(d)
-        nz = d > 0
-        out[nz] = 1.0 / np.sqrt(d[nz])
-        return out
+def preconditioner(h_diag):
+    """Diagonal D with D_ii = |H_ii|^{-1/2}; zero diagonals get 1."""
+    d = np.abs(np.asarray(h_diag, dtype=float))
+    out = np.ones_like(d)
+    nz = d > 0
+    out[nz] = 1.0 / np.sqrt(d[nz])
+    return out
 
 
-def stabilize(design, lams=None):
-    """Build the orthogonal stabilizing transform for a design.
+def stabilize(design):
+    """The orthogonal stabilizing transform T of a design, sparse.
 
-    The transform diagonalizes each balanced penalty block, so it does not
-    depend on the regularization weights and is computed once per model.
+    T is block-diagonal: on every penalized cluster it holds the
+    eigenvectors of the balanced local penalty, identity elsewhere, and
+    coefficients transform as beta = T beta_work.  It does not depend on
+    the regularization weights, so it is computed once per model.
     """
     n_p = design.N_p
     T = sp.eye_array(n_p, format="lil")
@@ -616,14 +609,14 @@ def stabilize(design, lams=None):
         order = np.argsort(ev)[::-1]
         W = W[:, order]
         T[cl.offset:cl.offset + cl.size, cl.offset:cl.offset + cl.size] = W
-    return Stabilizer(T=sp.csc_array(T))
+    return sp.csc_array(T)
 
 
-def transformed_design(design, stab):
-    """Clone of a design re-expressed in the stabilized parameterization."""
+def transformed_design(design, T):
+    """Clone of a design re-expressed in the stabilized parameterization
+    beta = T beta_work."""
     from .basis import transform_cores
     from .design import PenaltyBlock
-    T = stab.T
     X_blocks = [sp.csc_array(Xb @ T[sl.start:sl.stop, sl.start:sl.stop])
                 for Xb, sl in zip(design.X_blocks, design.param_slices)]
     blocks = []
@@ -643,17 +636,19 @@ def detect_unidentifiable(H, design, restrict=False, drop_tol=1e-7):
     """Coefficients that stay unidentifiable regardless of regularization.
 
     A dense column-pivoted QR of the balanced, scale-free matrix
-    H/||H||_F + S_bal/||S_bal||_F flags the columns whose diagonal entry
-    of R falls below ``drop_tol`` times the first.  ``restrict`` limits
-    the interrogation to parametric terms and smooths with a non-trivial
-    penalty kernel, since fully penalized random terms cannot cause
-    lambda-independent rank deficiency.
+    H/||H||_F + S_bal/||S_bal||_F (without the penalty term for a design
+    that has none) flags the columns whose diagonal entry of R does not
+    exceed ``drop_tol`` times the first: all of them when the matrix is
+    zero.  ``restrict`` limits the interrogation to parametric terms and
+    smooths with a non-trivial penalty kernel, since fully penalized
+    random terms cannot cause lambda-independent rank deficiency.
     """
     H = sparsela.as_csc(sp.csc_array(H))
-    Sb = balanced_penalty(design)
     h_norm = sp.linalg.norm(H)
-    s_norm = sp.linalg.norm(Sb)
-    HS = (H / h_norm if h_norm > 0 else H) + Sb / s_norm
+    HS = H / h_norm if h_norm > 0 else H
+    if design.n_lambda:
+        Sb = balanced_penalty(design)
+        HS = HS + Sb / sp.linalg.norm(Sb)
     n_p = design.N_p
     if restrict:
         cols = []
@@ -671,7 +666,7 @@ def detect_unidentifiable(H, design, restrict=False, drop_tol=1e-7):
     _, Rq, piv = dense_qr(A, mode="economic", pivoting=True)
     diag = np.abs(np.diag(Rq))
     ref = diag[0] if diag.size else 0.0
-    bad = np.flatnonzero(diag < drop_tol * ref)
+    bad = np.flatnonzero(diag <= drop_tol * ref)
     return {int(cols[piv[j]]) for j in bad}
 
 
@@ -679,8 +674,6 @@ def reduced_design(design, dropped):
     """Design restricted to the kept columns; penalties sliced accordingly."""
     from .basis import transform_cores
     from .design import PenaltyBlock
-    if not dropped:
-        return design, np.arange(design.N_p)
     keep = np.array([j for j in range(design.N_p) if j not in dropped],
                     dtype=np.int64)
     pos = -np.ones(design.N_p, dtype=np.int64)
@@ -710,6 +703,39 @@ def reduced_design(design, dropped):
                           design.terms, design.row_order, design.n_lambda,
                           sort_factor=design.sort_factor)
     return out, keep
+
+
+def rank_check(design, solve_on, hessian):
+    """The first solve of an exact engine, with the one rank check.
+
+    ``solve_on(active, keep)`` solves the first point on ``active``, the
+    retained columns ``keep`` of ``design``, and returns ``(point, factor,
+    eps)``: the factor of the penalized Hessian and the ridge it took.  The
+    check runs when that solve raises :class:`IndefiniteError`, takes
+    eps > 0 or gives a factor whose condition estimate exceeds
+    ``sparsela.CONDITION_WARN``.  :func:`detect_unidentifiable` then picks
+    the columns of the likelihood Hessian ``hessian(point)`` (``point`` is
+    None after an IndefiniteError) that no penalty identifies, and the
+    point is solved again without them.  Returns the point; ``solve_on``
+    records the design it was solved on.
+    """
+    keep = np.arange(design.N_p)
+    try:
+        point, factor, eps = solve_on(design, keep)
+    except IndefiniteError as exc:
+        point, failure = None, exc
+    else:
+        if eps == 0.0 and sparsela.condition_estimate(factor) <= \
+                sparsela.CONDITION_WARN:
+            return point
+    dropped = detect_unidentifiable(hessian(point), design)
+    if len(dropped) == design.N_p:
+        raise SpecError("all columns flagged unidentifiable")
+    if dropped:
+        return solve_on(*reduced_design(design, dropped))[0]
+    if point is None:
+        raise failure
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +771,7 @@ def _ridge_factor(system, H, lams, eps=0.0, factor=None, accept=None):
             A[diag] += eps
             try:
                 factor = system.symbolic.factor(
-                    A, dscale=Stabilizer.preconditioner(A[diag]))
+                    A, dscale=preconditioner(A[diag]))
             except IndefiniteError:
                 pass
         if factor is not None and (accept is None or accept(factor)):
@@ -826,32 +852,29 @@ def fit_gsmm(design, family, control=None):
     Fitting happens in the stabilized parameterization; the returned
     coefficients are in the original one.  A point is ``(beta, factor,
     eps, H, llk_pen, llk)`` in the working coordinates of the columns
-    kept.
+    kept by the rank check on H.
     """
     control = control or EFSControl()
-    stab = stabilize(design) if control.stabilize else None
-    work = transformed_design(design, stab) if stab is not None else design
-    active, keep, dropped, system = work, np.arange(work.N_p), set(), None
-    checked_rank = False
+    T = stabilize(design) if control.stabilize else None
+    work = transformed_design(design, T) if T is not None else design
+    active, keep, system = work, np.arange(work.N_p), None
 
     def solve(lams, start):
-        nonlocal active, keep, dropped, system, checked_rank
-        beta = family.init_coef(work) if start is None else start[0]
-        point = newton_beta(active, family, lams, beta0=beta,
-                            control=control, system=system)
+        nonlocal active, keep, system
+        if start is None:
+            def solve_on(d, kept):
+                nonlocal active, keep
+                active, keep = d, kept
+                point = newton_beta(d, family, lams,
+                                    beta0=family.init_coef(work)[kept],
+                                    control=control)
+                return point, point[1], point[2]
+
+            point = rank_check(work, solve_on, lambda p: p[3])
+        else:
+            point = newton_beta(active, family, lams, beta0=start[0],
+                                control=control, system=system)
         system = point[7]
-        if not checked_rank:
-            factor, eps, H = point[1:4]
-            if eps > 0 or sparsela.condition_estimate(factor) > \
-                    sparsela.CONDITION_WARN:
-                checked_rank = True
-                bad = detect_unidentifiable(H, active, restrict=False)
-                if bad:
-                    dropped = set(bad)
-                    active, keep = reduced_design(work, dropped)
-                    point = newton_beta(active, family, lams,
-                                        beta0=point[0][keep], control=control)
-                    system = point[7]
         return point[:6]
 
     def evaluate(point, lams):
@@ -867,18 +890,13 @@ def fit_gsmm(design, family, control=None):
         factor, eps = ev.extra
         beta_work = np.zeros(work.N_p)
         beta_work[keep] = beta
-        kept = np.zeros(work.N_p, dtype=bool)
-        kept[keep] = True
-        return kept, dict(
-            beta=stab.apply(beta_work) if stab is not None else beta_work,
-            reml=reml_value(active, factor, lams, llk_pen, phi=1.0,
-                            n_active=active.N_p),
-            penalized_llk=llk_pen, llk=llk, eps_H=eps, dropped=dropped,
-            engine="gsmm",
+        return keep, dict(
+            beta=np.asarray(T @ beta_work) if T is not None else beta_work,
+            reml=reml_value(active, factor, lams, llk_pen, phi=1.0),
+            penalized_llk=llk_pen, llk=llk, eps_H=eps, engine="gsmm",
             diagnostics={"reml_grad_lambda": ev.grad.tolist(), "H_llk": H,
                          "factor_nnz": factor.nnz_L(), "work_design": active,
                          "keep": keep},
-            _design=design, _factor=factor, _family=family,
-            _transform=stab.T if stab is not None else None)
+            _design=design, _factor=factor, _family=family, _transform=T)
 
     return _efs_loop(design, solve, evaluate, finish, control)

@@ -655,7 +655,7 @@ def lqefs_fit(design, family, control=None):
     def finish(point, ev, lams):
         beta, pen_final, inv_rep, h_psd = point
         factor = cholesky_of_compact(h_psd, S_lam)
-        return np.ones(n_p, dtype=bool), dict(
+        return np.arange(n_p), dict(
             beta=beta, reml=reml_value(design, factor, lams, pen_final,
                                        phi=1.0),
             penalized_llk=pen_final, llk=llk(beta), engine="lqefs",

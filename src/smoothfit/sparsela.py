@@ -5,22 +5,19 @@ only: the permutation is SuperLU's multiple minimum degree ordering of the
 pattern of A + A^T, computed once per sparsity pattern and cached across
 refactorizations with new values (the pattern of a penalized normal matrix
 does not change with the regularization weights); the numeric
-factorization and its solves run in SuperLU.  The QR route takes a LAPACK
-QR of the stacked, penalty-augmented system and detects dependent columns
-from small diagonal entries of R (Heath, 1982).
+factorization and its solves run in SuperLU.  A cheap condition estimate
+of a factored matrix tells the fitting engines when to look for columns
+that no penalty identifies.
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import qr, solve_triangular
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .errors import IndefiniteError, SpecError
 
-#: Heath drop threshold: |R_jj| below this fraction of the largest diagonal
-HEATH_DROP_RTOL = 1e-7
-
-#: condition estimate beyond which the Cholesky path recommends a QR refit
+#: condition estimate beyond which a fitting engine's first solve triggers
+#: the rank check
 CONDITION_WARN = 1.0 / (1e3 * np.finfo(float).eps)
 
 
@@ -275,133 +272,9 @@ def _dense_cols(D):
     return D[:, nz]
 
 
-class QRFactor:
-    """R factor of the column-permuted stacked system [X; E_lambda^T].
-
-    ``R^T R`` reproduces the penalized normal matrix on retained columns.
-    Columns whose diagonal entry of R falls below ``drop_tol`` times the
-    largest diagonal are reported in ``dropped`` (original indices) and
-    excluded from solves; their trailing row mass is folded back into R so
-    the retained block stays consistent.
-    """
-
-    def __init__(self, R, perm, dropped_perm, drop_tol):
-        self.n = R.shape[0]
-        self.perm = np.asarray(perm, dtype=np.int64)
-        self._R = R
-        self.drop_tol = drop_tol
-        self.dropped = {int(self.perm[j]) for j in dropped_perm}
-        self._keep = np.setdiff1d(np.arange(self.n, dtype=np.int64),
-                                  dropped_perm)
-        diag = R[self._keep, self._keep]
-        self.logdet = 2.0 * float(np.sum(np.log(diag)))
-        self.dscale = None
-
-    @property
-    def R(self):
-        return sp.csc_array(np.triu(self._R))
-
-    def solve(self, b):
-        """x with (R^T R) x = b on retained columns; dropped entries are 0."""
-        b = np.asarray(b, dtype=float)
-        one = b.ndim == 1
-        B = b.reshape(-1, 1) if one else b
-        Bp = B[self.perm, :]
-        K = self._keep
-        Rk = self._R[np.ix_(K, K)]
-        Y = solve_triangular(Rk, Bp[K, :], trans="T", lower=False)
-        Y = solve_triangular(Rk, Y, lower=False)
-        out = np.zeros_like(Bp)
-        out[K, :] = Y
-        res = np.empty_like(out)
-        res[self.perm, :] = out
-        return res[:, 0] if one else res
-
-    def half_solve(self, B):
-        """R^{-T} applied to permuted, retained rows of B (for traces)."""
-        B = np.asarray(B, dtype=float)
-        one = B.ndim == 1
-        if one:
-            B = B.reshape(-1, 1)
-        Bp = B[self.perm, :]
-        K = self._keep
-        Rk = self._R[np.ix_(K, K)]
-        Y = np.zeros((self.n, B.shape[1]))
-        Y[K, :] = solve_triangular(Rk, Bp[K, :], trans="T", lower=False)
-        return Y[:, 0] if one else Y
-
-    def half_tsolve_scatter(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        one = Y.ndim == 1
-        if one:
-            Y = Y.reshape(-1, 1)
-        K = self._keep
-        Rk = self._R[np.ix_(K, K)]
-        out = np.zeros_like(Y)
-        out[K, :] = solve_triangular(Rk, Y[K, :], lower=False)
-        res = np.empty_like(out)
-        res[self.perm, :] = out
-        return res[:, 0] if one else res
-
-    def nnz_L(self):
-        return int(np.count_nonzero(np.triu(self._R)))
-
-
-def _qr_r(A):
-    """R of a dense QR of A (at least as many rows as columns), with the
-    rows flipped so that its diagonal is non-negative."""
-    R = qr(A, mode="r", overwrite_a=True, check_finite=False)[0][:A.shape[1]]
-    R[np.diag(R) < 0.0] *= -1.0
-    return R
-
-
-def penalized_qr(X, E_lambda, perm=None, drop_tol=HEATH_DROP_RTOL):
-    """QR of the stacked [X; E_lambda^T] with dependent-column detection.
-
-    ``E_lambda`` must satisfy E E^T = S_lambda.  Column order follows the
-    fill-reducing permutation of the normal-matrix pattern so the factor
-    matches the Cholesky route's.  The rows are folded into R by LAPACK in
-    blocks of N_p, so the work array stays N_p x N_p.  Heath's rule then
-    drops column j when R_jj falls below ``drop_tol`` times the largest
-    diagonal: row j is zeroed and its tail re-triangularized into the
-    trailing block, which only changes rows below j, so one forward pass
-    finds every dropped column.
-    """
-    X = sp.csr_array(X)
-    n_p = X.shape[1]
-    if E_lambda is None:
-        stacked = X
-    else:
-        Et = sp.csr_array(sp.csc_array(E_lambda).T)
-        if Et.shape[1] != n_p:
-            raise SpecError("penalty root has incompatible dimension")
-        stacked = sp.vstack([X, Et], format="csr")
-    if perm is None:
-        G = stacked.T @ stacked
-        perm = fill_reducing_permutation(G)
-    stacked = sp.csr_array(stacked[:, perm])
-    R = np.zeros((n_p, n_p))
-    for start in range(0, stacked.shape[0], max(n_p, 1)):
-        R = _qr_r(np.vstack([R, stacked[start:start + n_p].toarray()]))
-    scale = float(np.max(np.diag(R))) if n_p else 0.0
-    if scale == 0.0:
-        raise SpecError("all columns flagged unidentifiable")
-    dropped = []
-    for j in range(n_p):
-        if R[j, j] < drop_tol * scale:
-            tail = R[j, j + 1:].copy()
-            R[j, j:] = 0.0
-            dropped.append(j)
-            if np.any(tail):
-                R[j + 1:, j + 1:] = _qr_r(np.vstack([R[j + 1:, j + 1:],
-                                                     tail]))
-    if len(dropped) == n_p:
-        raise SpecError("all columns flagged unidentifiable")
-    return QRFactor(R, perm, dropped, drop_tol)
-
-
 def condition_estimate(factor, iters=15, seed=0):
-    """Rough 2-norm condition number of the factored matrix.
+    """Rough 2-norm condition number of the matrix a
+    :class:`CholeskyFactor` factors.
 
     Power iteration for the largest singular value and inverse iteration
     through the factor for the smallest (Cline-style cheap estimate: right
@@ -409,31 +282,18 @@ def condition_estimate(factor, iters=15, seed=0):
     """
     n = factor.n
     rng = np.random.default_rng(seed)
-    if isinstance(factor, CholeskyFactor):
-        M = factor._M
-        perm = factor.perm
+    M = factor._M
+    perm = factor.perm
 
-        def amul(x):
-            v = x if factor.dscale is None else x / factor.dscale
-            v = v[perm]
-            v = M @ v
-            out = np.empty_like(v)
-            out[perm] = v
-            if factor.dscale is not None:
-                out = out / factor.dscale
-            return out
-    else:
-        K = factor._keep
-        Rk = factor._R[np.ix_(K, K)]
-        perm = factor.perm
-
-        def amul(x):
-            xp = x[perm]
-            v = np.zeros_like(xp)
-            v[K] = Rk.T @ (Rk @ xp[K])
-            out = np.empty_like(v)
-            out[perm] = v
-            return out
+    def amul(x):
+        v = x if factor.dscale is None else x / factor.dscale
+        v = v[perm]
+        v = M @ v
+        out = np.empty_like(v)
+        out[perm] = v
+        if factor.dscale is not None:
+            out = out / factor.dscale
+        return out
 
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)

@@ -200,26 +200,25 @@ def _refit_draws(fit, lams):
     """(betas, taus, remls) of an am/gam fit refitted at each row of lams.
 
     The final working Gaussian model (the PQL view) is refitted on the
-    retained columns, those not in ``fit.dropped``: X^T W X, X^T W z and the
-    dense embedded S^r are formed once, then each chunk of draws stacks
-    H_i = X^T W X + sum_r lams[i, r] S^r and takes one batched Cholesky
-    factor.  From it come beta_i (dropped entries zero), tr(H_i^{-1} S^r),
-    log|H_i|, tau_i and the REML value.  A chunk holds REFIT_CHUNK_BYTES of
-    (N_p, N_p) matrices, so dense storage suits desk-scale N_p.
+    fit's working design, the retained columns ``fit._keep``: X^T W X,
+    X^T W z and the dense S^r are formed once, then each chunk of draws
+    stacks H_i = X^T W X + sum_r lams[i, r] S^r and takes one batched
+    Cholesky factor.  From it come beta_i (dropped entries zero),
+    tr(H_i^{-1} S^r), log|H_i|, tau_i and the REML value on the retained
+    columns.  A chunk holds REFIT_CHUNK_BYTES of (N_p, N_p) matrices, so
+    dense storage suits desk-scale N_p.
     """
-    design = fit._design
+    design = fit.work_design
+    keep = fit._keep
     lams = np.atleast_2d(np.asarray(lams, dtype=float))
-    X = design.X_full
     if fit.engine == "am":
         z, w = fit._y, None
     else:
-        mu = fit._link.inverse(np.asarray(X @ fit.beta))
+        mu = fit._link.inverse(np.asarray(fit._design.X_full @ fit.beta))
         z, w, _ = pseudo_data(fit._y, mu, fit._link, fit._family)
-    keep = np.array([j for j in range(design.N_p) if j not in fit.dropped],
-                    dtype=np.int64)
     # X stays sparse (random-effect and factor-smooth level columns are
     # block-sparse); only the N_p x N_p normal matrix is dense
-    Xk = sp.csc_array(X[:, keep])
+    Xk = design.X_full
     wq = np.ones(design.N) if w is None else np.asarray(w, dtype=float)
     XtWX = (Xk.T @ sp.csc_array(Xk.multiply(wq[:, None]))).toarray()
     XtWz = np.asarray(Xk.T @ (wq * z))
@@ -232,7 +231,7 @@ def _refit_draws(fit, lams):
     n_active = keep.size
     S = np.zeros((design.n_lambda, n_active, n_active))
     for r in range(design.n_lambda):
-        S[r] = design.S_emb(r)[keep][:, keep].toarray()
+        S[r] = design.S_emb(r).toarray()
     S_flat = S.reshape(design.n_lambda, n_active * n_active)
     phi = fit.phi
     const = 0.5 * float(np.sum(np.log(wq))) \
@@ -240,7 +239,7 @@ def _refit_draws(fit, lams):
         - 0.5 * design.penalty_rank * np.log(phi) \
         + 0.5 * n_active * np.log(phi)
     n_draws = lams.shape[0]
-    betas = np.zeros((n_draws, design.N_p))
+    betas = np.zeros((n_draws, fit.beta.size))
     taus = np.empty(n_draws)
     remls = np.empty(n_draws)
     step = max(1, REFIT_CHUNK_BYTES // (8 * n_active * n_active))
@@ -466,15 +465,8 @@ def sample_beta_conditional(fit, n, seed=0):
     """Draws from the normal approximation N(beta_hat, V) to the
     conditional coefficient posterior; deterministic given the seed."""
     rng = np.random.default_rng(seed)
-    n_p = fit.beta.size
     Z = rng.standard_normal((fit._factor.n, n))
-    draws = fit.half_solve_t(Z)
-    draws = np.sqrt(fit.covariance_scale()) * draws
-    if draws.shape[0] != n_p:
-        full = np.zeros((n_p, n))
-        keep = fit.diagnostics.get("keep")
-        full[keep, :] = draws
-        draws = full
+    draws = np.sqrt(fit.covariance_scale()) * fit.half_solve_t(Z)
     return fit.beta[:, None] + draws
 
 

@@ -235,6 +235,85 @@ class TestSidecar:
         (tmp / "o.json.cache.npz").replace(tmp / "m.json.cache.npz")
         self._check_degraded(workspace, art, caplog)
 
+    def test_dense_factor_with_column_order_refused(self, workspace, caplog,
+                                                    capsys):
+        # a dense R with an ordering ``perm`` and retained columns ``kept``
+        # is in permuted column order, which the dense factor cannot apply:
+        # its intervals would be silently wrong
+        art = self._fit(workspace)
+        path = workspace[0] / "m.json.cache.npz"
+        with np.load(path) as data:
+            beta = data["coefficients"]
+            stored = {k: data[k] for k in ("engine", "phi", "coefficients")}
+        n = beta.size
+        np.savez(path, **stored, kind=np.array("dense_r"), R=np.eye(n),
+                 perm=np.arange(n)[::-1], kept=np.arange(n))
+        self._check_degraded(workspace, art, caplog)
+        assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.fixture
+def duplicate_workspace(tmp_path):
+    """Smooths of v, of its copy v2 and of x: the rank check drops one
+    column.  The table holds a Gaussian response y and Cox times t."""
+    rng = np.random.default_rng(0)
+    n = 300
+    v = rng.uniform(-1, 1, n)
+    x = rng.uniform(-1, 1, n)
+    eta = np.sin(np.pi * v) + x ** 2
+    data = tmp_path / "dup.csv"
+    write_csv(data, {"y": [float(t) for t in eta + rng.normal(0, 0.5, n)],
+                     "t": [float(t) for t in rng.exponential(np.exp(-eta))],
+                     "d": [1.0] * n,
+                     "v": [float(t) for t in v], "v2": [float(t) for t in v],
+                     "x": [float(t) for t in x]})
+    smooths = [{"kind": "smooth", "covariates": [c], "k": 8}
+               for c in ("v", "v2", "x")]
+    am = tmp_path / "am.json"
+    am.write_text(json.dumps({"response": "y",
+                              "terms": [{"kind": "intercept"}] + smooths}))
+    cox = tmp_path / "cox.json"
+    cox.write_text(json.dumps({"response": "t", "event": "d",
+                               "terms": smooths}))
+    return tmp_path, data, am, cox
+
+
+class TestRankCheckCli:
+    """Fits that drop an unidentifiable column predict with intervals."""
+
+    def _fit_and_predict(self, workspace, spec, engine_args, capsys):
+        tmp, data = workspace[:2]
+        art = tmp / "m.json"
+        rc = main(["fit", "--data", str(data), "--spec", str(spec),
+                   "--out", str(art), *engine_args])
+        out = capsys.readouterr().out
+        assert rc == 0
+        stored = json.loads(art.read_text())
+        assert len(stored["dropped"]) == 1 and stored["converged"]
+        assert f"dropped coefficients: {stored['dropped']}" in out
+        beta = np.asarray(stored["coefficients"])
+        assert stored["dropped"][0] < beta.size
+        rc = main(["predict", "--artifact", str(art), "--data", str(data),
+                   "--out", str(tmp / "p.csv")])
+        assert rc == 0
+        p = read_table(tmp / "p.csv")
+        assert np.all(np.isfinite(p["eta_0_lo"]))
+        assert np.all((p["eta_0_lo"] < p["eta_0"])
+                      & (p["eta_0"] < p["eta_0_hi"]))
+        return stored
+
+    def test_default_am_fit(self, duplicate_workspace, capsys):
+        stored = self._fit_and_predict(duplicate_workspace,
+                                       duplicate_workspace[2], [], capsys)
+        assert stored["coefficients"][stored["dropped"][0]] == 0.0
+
+    def test_coxph_gsmm_fit(self, duplicate_workspace, capsys):
+        self._fit_and_predict(duplicate_workspace, duplicate_workspace[3],
+                              ["--engine", "gsmm", "--family", "coxph"],
+                              capsys)
+        with np.load(duplicate_workspace[0] / "m.json.cache.npz") as side:
+            assert side["keep"].size == side["coefficients"].size - 1
+
 
 class TestAic:
     def test_identical_artifacts_zero_difference(self, workspace):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothfit import efs, lqefs
@@ -47,12 +47,13 @@ def dense_reml(design, y, rho, phi=None):
     return llk_pen + 0.5 * lds - 0.5 * ldh
 
 
-def dense_term_edfs(design, factor, w):
-    """Per-term edf from the dense diag(H_p^{-1} X^T W X) (oracle)."""
+def dense_term_edfs(design, solve, w):
+    """Per-term edf from the dense diag(H_p^{-1} X^T W X) (oracle);
+    ``solve`` applies H_p^{-1} in the design's coordinates."""
     X = design.X_full
     Xw = X if w is None else X.multiply(np.asarray(w)[:, None])
     dense = np.asarray(sp.csc_array(X.T @ Xw).todense())
-    diag = np.einsum("ii->i", factor.solve(dense))
+    diag = np.einsum("ii->i", solve(dense))
     return {t.spec.name: float(np.sum(diag[t.col_start:
                                            t.col_start + t.col_count]))
             for t in design.terms}
@@ -87,17 +88,6 @@ class TestSolvePenalized:
             design.S_lambda(lams).todense())
         ref = np.linalg.solve(A, X.T @ (w * yi))
         np.testing.assert_allclose(beta, ref, rtol=1e-8, atol=1e-10)
-
-    def test_qr_path_agrees(self):
-        design, y, _, rng = gaussian_problem(n=150)
-        lams = np.array([1.0, 2.0])
-        yi = design.to_internal(y)
-        b1, _ = efs.solve_penalized(design.X_full, yi, None, design, lams,
-                                    method="cholesky")
-        b2, f2 = efs.solve_penalized(design.X_full, yi, None, design, lams,
-                                     method="qr")
-        np.testing.assert_allclose(b1, b2, rtol=1e-6, atol=1e-9)
-        assert f2.dropped == set()
 
 
 def _ridge_design(k):
@@ -245,7 +235,7 @@ class TestFitAdditive:
         lams = np.array([fit.lam[0], efs.LAM_HI])
         yi = d.to_internal(y)
         beta, factor = efs.solve_penalized(d.X_full, yi, None, d, lams)
-        edfs = dense_term_edfs(d, factor, None)
+        edfs = dense_term_edfs(d, factor.solve, None)
         assert abs(edfs["f(z)"] - 1.0) < 0.05
 
     def test_matches_dense_oracle(self):
@@ -321,60 +311,38 @@ def poisson_gam_fit(n=300, seed=21):
     return efs.fit_gam(d, y, get_family("poisson"))
 
 
-def qr_dropped_column_fit():
-    """QR fit with smooths of v and of an exact copy of v: one column of the
-    copy is dropped."""
-    rng = np.random.default_rng(0)
-    data = draw_covariates(rng, 300)
-    data["v2"] = data["v"].copy()
-    y = eta_fixed(data["v"], data["w"], data["x"], data["z"]) \
-        + rng.normal(0, 1.0, 300)
-    spec = ModelSpec([TermSpec("intercept")]
-                     + [TermSpec("smooth", [c], k=8)
-                        for c in ("v", "v2", "x")])
-    fit = efs.fit_additive(build_design(spec, data), y,
-                           efs.EFSControl(method="qr"))
-    assert fit.dropped
-    return fit
-
-
-def multilevel_problem(n=600, n_subj=3, seed=0):
-    """Four smooths plus a per-subject random smooth of v: the shape of the
-    benchmark's multilevel input at a small size."""
+def duplicate_column_data(n=300, seed=0):
+    """Covariates with v2 an exact copy of v, the linear predictor of the
+    additive truth, and the rng after drawing them."""
     rng = np.random.default_rng(seed)
     data = draw_covariates(rng, n)
-    subj = rng.permutation(np.arange(n) % n_subj)
-    eta = eta_fixed(data["v"], data["w"], data["x"], data["z"])
-    u = to_unit(data["v"])
-    for j in range(n_subj):
-        a, b = rng.normal(0.0, 0.6, 2)
-        rows = subj == j
-        eta[rows] += a * np.sin(np.pi * u[rows]) + b * np.cos(np.pi * u[rows])
-    data["subject"] = np.array([f"s{j:03d}" for j in subj])
-    y = eta + rng.normal(0.0, np.sqrt(2.0), n)
-    spec = ModelSpec([TermSpec("intercept")]
-                     + [TermSpec("smooth", [c], k=10) for c in "vwxz"]
-                     + [TermSpec("random_smooth", ["v"], by_factor="subject",
-                                 k=10, penalty_order=1)])
-    return build_design(spec, data), y
+    data["v2"] = data["v"].copy()
+    return data, eta_fixed(data["v"], data["w"], data["x"], data["z"]), rng
 
 
-class TestQRRoute:
-    def test_multilevel_matches_cholesky(self):
-        design, y = multilevel_problem()
-        chol = efs.fit_additive(design, y)
-        qr = efs.fit_additive(design, y, efs.EFSControl(method="qr"))
-        assert chol.converged and qr.converged and not qr.dropped
-        assert qr.iterations == chol.iterations
-        np.testing.assert_allclose(qr.rho, chol.rho, rtol=0, atol=1e-8)
-        assert abs(qr.reml - chol.reml) <= 1e-10 * abs(chol.reml)
+def duplicate_column_design(data, intercept=True):
+    """Smooths of v, of its copy v2 and of x: the linear parts of f(v) and
+    f(v2) are one direction that no penalty identifies."""
+    return build_design(ModelSpec(
+        ([TermSpec("intercept")] if intercept else [])
+        + [TermSpec("smooth", [c], k=8) for c in ("v", "v2", "x")]), data)
+
+
+def dropped_column_fit():
+    """Default am fit with smooths of v and of an exact copy of v: the rank
+    check drops one column of the copy."""
+    data, eta, rng = duplicate_column_data()
+    y = eta + rng.normal(0, 1.0, 300)
+    fit = efs.fit_additive(duplicate_column_design(data), y)
+    assert fit.dropped
+    return fit
 
 
 class TestTermEdfs:
     """Term edfs from the fit's traces against the dense oracle."""
 
     def _check(self, fit):
-        ref = dense_term_edfs(fit._design, fit._factor, fit._weights)
+        ref = dense_term_edfs(fit._design, fit.solve_H, fit._weights)
         assert set(fit.term_edf) == set(ref)
         for name, v in ref.items():
             assert abs(fit.term_edf[name] - v) <= 1e-10 * max(abs(v), 1.0), \
@@ -390,10 +358,80 @@ class TestTermEdfs:
         self._check(poisson_gam_fit())
 
     def test_qr_with_dropped_column(self):
-        fit = qr_dropped_column_fit()
+        # the column is dropped by the rank check's pivoted QR
+        fit = dropped_column_fit()
         self._check(fit)
         # the dropped column's term counts its retained columns only
         assert fit.term_edf["f(v2)"] < 7.0
+
+    def test_poisson_gam_with_dropped_column(self):
+        data, eta, rng = duplicate_column_data()
+        y = rng.poisson(np.exp(0.3 * eta - 1.0)).astype(float)
+        fit = efs.fit_gam(duplicate_column_design(data), y,
+                          get_family("poisson"))
+        assert fit.converged and len(fit.dropped) == 1
+        assert np.all(fit.beta[sorted(fit.dropped)] == 0.0)
+        self._check(fit)
+
+
+class TestRankCheck:
+    """The one rank check at the first solve of every exact engine."""
+
+    def test_am_drops_the_flagged_column(self):
+        fit = dropped_column_fit()
+        d = fit._design
+        H = sp.csc_array(d.X_full.T @ d.X_full)
+        assert fit.converged and len(fit.dropped) == 1
+        assert fit.dropped == efs.detect_unidentifiable(H, d)
+        assert np.all(fit.beta[sorted(fit.dropped)] == 0.0)
+        assert fit.work_design.N_p == d.N_p - 1
+        np.testing.assert_array_equal(
+            fit._keep, sorted(set(range(d.N_p)) - fit.dropped))
+
+    def test_full_rank_fit_keeps_every_column(self):
+        fit = poisson_gam_fit()
+        assert not fit.dropped and fit.work_design is fit._design
+        np.testing.assert_array_equal(fit._keep, np.arange(fit.beta.size))
+
+    def test_gsmm_cox_term_edfs_match_dense_oracle(self):
+        # at eps = 0 a term's edf is the sum of diag(H_p^{-1} H) over its
+        # columns; solve_H maps through T and zeroes the dropped column
+        data, eta, rng = duplicate_column_data()
+        t = rng.exponential(np.exp(-0.5 * eta))
+        d = duplicate_column_design(data, intercept=False)
+        fam = CoxphFamily(t, np.ones(t.size))
+        fit = efs.fit_gsmm(d, fam)
+        assert fit.converged and fit.dropped and fit.eps_H == 0.0
+        H = -sp.csc_array(fam.hess(fit.beta, d)).toarray()
+        diag = np.diag(fit.solve_H(H))
+        for term in d.terms:
+            ref = float(np.sum(diag[term.col_start:
+                                    term.col_start + term.col_count]))
+            assert abs(fit.term_edf[term.spec.name] - ref) <= 1e-9 * max(
+                abs(ref), 1.0), (term.spec.name, ref)
+
+    @staticmethod
+    def _zero_column_data(n=50):
+        rng = np.random.default_rng(3)
+        data = {"x": rng.uniform(-1, 1, n), "zero": np.zeros(n)}
+        return data, 1.0 + data["x"] + rng.normal(0, 0.1, n)
+
+    def test_all_zero_column_dropped(self):
+        data, y = self._zero_column_data()
+        d = build_design(ModelSpec([TermSpec("intercept"),
+                                    TermSpec("linear", ["zero"]),
+                                    TermSpec("smooth", ["x"], k=6)]), data)
+        fit = efs.fit_additive(d, y)
+        assert fit.converged and fit.dropped == {1}
+
+    def test_all_columns_flagged_rejected(self):
+        data, y = self._zero_column_data()
+        d = build_design(ModelSpec([TermSpec("linear", ["zero"])]), data)
+        with pytest.raises(SpecError, match="all columns flagged"):
+            efs.fit_additive(d, y)
+        with pytest.raises(SpecError, match="all columns flagged"):
+            efs.fit_gam(d, np.ones_like(y), get_family("poisson"))
+        assert efs.detect_unidentifiable(sp.csc_array((1, 1)), d) == {0}
 
 
 class TestFitGam:
@@ -586,10 +624,10 @@ class TestNewtonAndSafety:
 class TestStabilize:
     def test_orthogonal_roundtrip(self):
         design, _, _, rng = gaussian_problem(n=150, seed=16)
-        st = efs.stabilize(design)
+        T = efs.stabilize(design)
         b = rng.standard_normal(design.N_p)
-        np.testing.assert_allclose(st.reverse(st.apply(b)), b, atol=1e-14)
-        T = np.asarray(st.T.todense())
+        np.testing.assert_allclose(T.T @ (T @ b), b, atol=1e-14)
+        T = T.toarray()
         np.testing.assert_allclose(T.T @ T, np.eye(design.N_p), atol=1e-12)
 
     def test_transformed_fit_identical(self):
@@ -616,7 +654,7 @@ class TestStabilize:
                                                               scales))
         from smoothfit import sparsela
         d = sparsela.pivoted_cholesky(
-            H, dscale=efs.Stabilizer.preconditioner(H.diagonal()))
+            H, dscale=efs.preconditioner(H.diagonal()))
         x = rng.standard_normal(n)
         res = np.asarray(H.todense()) @ d.solve(x) - x
         assert np.abs(res).max() < 1e-6 * np.abs(x).max()
@@ -856,6 +894,9 @@ def _small_fit(engine, seed, n_smooths, k):
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_smooths=st.integers(1, 3),
        k=st.integers(5, 8))
+# X^T X has an exact-zero sum (intercept against a sum-to-zero smooth
+# column) that the Poisson working weights fill
+@example(seed=446, n_smooths=1, k=5)
 def test_term_edfs_sum_to_edf(engine, seed, n_smooths, k):
     fit = _small_fit(engine, seed, n_smooths, k)
     assert np.isfinite(fit.edf)

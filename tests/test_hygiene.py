@@ -1,12 +1,21 @@
-"""Source hygiene: every name a module imports is used in it."""
+"""Source hygiene: every name a module imports is used in it, and every
+field of a control dataclass is set by some call."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "smoothfit"
+from smoothfit.efs import EFSControl
+from smoothfit.lqefs import LqefsControl
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "smoothfit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+#: every Python file that may construct a control object
+CALLERS = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -35,3 +44,36 @@ def test_scanner_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def keywords_passed(source, callee):
+    """Keyword names passed in ``source`` to calls of ``callee``, called by
+    its bare name or as an attribute (``mod.callee``)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            if name == callee:
+                out.update(k.arg for k in node.keywords if k.arg)
+    return out
+
+
+def test_keyword_scanner():
+    source = ("from x import Ctl\nimport m\n"
+              "a = Ctl(tol=1, **extra)\nb = m.Ctl(seed=2)\n"
+              "c = Other(n_v=3)\nd = m.Ctl.other(max_outer=4)\n")
+    assert keywords_passed(source, "Ctl") == {"tol", "seed"}
+
+
+@pytest.mark.parametrize("control", [EFSControl, LqefsControl],
+                         ids=lambda c: c.__name__)
+def test_every_control_field_is_set_somewhere(control):
+    # a field that no call sets is a constant, not a knob
+    passed = set()
+    for path in CALLERS:
+        passed |= keywords_passed(path.read_text(encoding="utf-8"),
+                                  control.__name__)
+    fields = {f.name for f in dataclasses.fields(control)}
+    assert fields - passed == set()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from smoothfit import sparsela as sla
 from smoothfit.design import ModelSpec, TermSpec, build_design
-from smoothfit.errors import IndefiniteError, SpecError
+from smoothfit.errors import IndefiniteError
 from smoothfit.simulate import draw_covariates
 
 
@@ -78,46 +78,6 @@ def eeg_pattern(n_series=20, rows=25):
     spec = ModelSpec([TermSpec("intercept"), TermSpec("smooth", ["t"], k=10),
                       TermSpec("random_smooth", ["t"], by_factor="g", k=20)])
     return penalized_normal_matrix(spec, {"t": t, "g": g})
-
-
-def givens_insert_rows(R, rows):
-    """Reference row-wise Givens QR: rotate each dense row of ``rows`` into
-    the upper-triangular R, keeping its diagonal non-negative."""
-    p = R.shape[0]
-    for r in np.atleast_2d(rows):
-        r = r.astype(float)
-        for j in range(p):
-            if r[j] == 0.0:
-                continue
-            hyp = np.hypot(R[j, j], r[j])
-            c, s = R[j, j] / hyp, r[j] / hyp
-            Rj = R[j, j:].copy()
-            R[j, j:] = c * Rj + s * r[j:]
-            r[j:] = -s * Rj + c * r[j:]
-            R[j, j] = hyp
-    return R
-
-
-def givens_penalized_qr(A, perm, drop_tol=sla.HEATH_DROP_RTOL):
-    """Reference Heath (1982) QR of the dense stacked system ``A``, columns
-    in ``perm`` order: after every dropped column the scan restarts from
-    the first column.  Returns R and the dropped positions."""
-    p = A.shape[1]
-    R = givens_insert_rows(np.zeros((p, p)), A[:, perm])
-    scale = np.max(np.diag(R))
-    dropped = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(p):
-            if j not in dropped and R[j, j] < drop_tol * scale:
-                tail = np.concatenate([np.zeros(j + 1), R[j, j + 1:]])
-                R[j, j:] = 0.0
-                dropped.append(j)
-                givens_insert_rows(R, tail)
-                changed = True
-                break
-    return R, sorted(dropped)
 
 
 class TestFillReducingPermutation:
@@ -431,138 +391,10 @@ class TestTraces:
         self._check_blocked(f, np.linalg.inv(Ad),
                             self._roots(rng, 30, [4, 0, 7, 1]))
 
-    def test_blocked_with_dropped_qr_columns(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((50, 6))
-        X = np.hstack([X, X[:, [2]]])              # column 6 copies column 2
-        E = np.zeros((7, 2))
-        E[0, 0], E[4, 1] = 1.0, 0.5
-        f = sla.penalized_qr(sp.csr_array(X), sp.csc_array(E))
-        assert len(f.dropped) == 1
-        keep = [j for j in range(7) if j not in f.dropped]
-        A = X.T @ X + E @ E.T
-        Ainv = np.zeros((7, 7))
-        Ainv[np.ix_(keep, keep)] = np.linalg.inv(A[np.ix_(keep, keep)])
-        self._check_blocked(f, Ainv, self._roots(rng, 7, [3, 0, 2]))
-
     def test_blocked_all_empty(self):
         f = sla.pivoted_cholesky(sp.eye_array(5, format="csc"))
         got = sla.trace_inv_form(f, np.zeros((5, 0)), [0, 0])
         np.testing.assert_array_equal(got, [0.0, 0.0])
-
-
-class TestPenalizedQR:
-    def test_orthonormal_identity(self):
-        q, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((40, 8)))
-        f = sla.penalized_qr(sp.csr_array(q), None)
-        np.testing.assert_allclose(np.abs(np.diag(f._R)[:8]), 1.0,
-                                   atol=1e-12)
-        assert f.dropped == set()
-
-    def test_duplicated_column_dropped(self):
-        rng = np.random.default_rng(10)
-        X = rng.standard_normal((50, 6))
-        X[:, 3] = X[:, 1]
-        f = sla.penalized_qr(sp.csr_array(X), None)
-        assert len(f.dropped) == 1 and f.dropped <= {1, 3}
-
-    def test_matches_cholesky(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            X = sp.csr_array(rng.standard_normal((120, 15)))
-            lam = rng.uniform(0.2, 3.0)
-            E = sp.csc_array(np.sqrt(lam) * np.eye(15))
-            fq = sla.penalized_qr(X, E)
-            A = sp.csc_array((X.T @ X).todense() + lam * np.eye(15))
-            fc = sla.pivoted_cholesky(A)
-            rhs = np.asarray(X.T @ rng.standard_normal(120))
-            bq, bc = fq.solve(rhs), fc.solve(rhs)
-            np.testing.assert_allclose(bq, bc,
-                                       rtol=1e-6, atol=1e-9)
-            assert abs(fq.logdet - fc.logdet) < 1e-8 * abs(fc.logdet)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(12)
-        X = sp.csr_array(rng.standard_normal((80, 10)))
-        E = sp.csc_array(np.diag(rng.uniform(0.1, 1.0, 10)))
-        f = sla.penalized_qr(X, E)
-        G = np.asarray((X.T @ X).todense()) + np.asarray((E @ E.T).todense())
-        R = f._R
-        recon = np.zeros_like(G)
-        recon[np.ix_(f.perm, f.perm)] = R.T @ R
-        np.testing.assert_allclose(recon, G, rtol=1e-6, atol=1e-8)
-
-    def test_single_column(self):
-        x = np.array([[0.0], [3.0], [-4.0]])
-        f = sla.penalized_qr(sp.csr_array(x), None)
-        np.testing.assert_allclose(f._R, [[5.0]])
-        assert f.dropped == set() and abs(f.logdet - np.log(25.0)) < 1e-14
-        np.testing.assert_allclose(f.solve(np.array([50.0])), [2.0])
-        f = sla.penalized_qr(sp.csr_array(np.zeros((3, 1))),
-                             sp.csc_array([[2.0]]))
-        np.testing.assert_allclose(f._R, [[2.0]])
-        with pytest.raises(SpecError):
-            sla.penalized_qr(sp.csr_array(np.zeros((3, 1))), None)
-
-    def test_all_dropped_rejected(self):
-        X = sp.csr_array(np.zeros((5, 3)))
-        with pytest.raises(SpecError):
-            sla.penalized_qr(X, None)
-        with pytest.raises(SpecError):
-            sla.penalized_qr(X, sp.csc_array(np.zeros((3, 2))))
-
-
-def _collinear_case(seed, n, p, density, kind, with_E):
-    """Random sparse X with forced exact or near dependence among its
-    columns, and optionally a penalty root E with some zero rows."""
-    rng = np.random.default_rng(seed)
-    X = sp.random_array((n, p), density=density, rng=rng,
-                        data_sampler=rng.standard_normal).toarray()
-    a, b, c = rng.choice(p, 3, replace=False)
-    if kind == "exact":
-        X[:, c] = X[:, a] - 2.0 * X[:, b]
-    elif kind == "near":
-        X[:, c] = X[:, a] + 1e-10 * rng.standard_normal(n)
-    elif kind == "zero":
-        X[:, c] = 0.0
-    E = None
-    if with_E:
-        E = np.diag(rng.uniform(0.1, 2.0, p) * (rng.uniform(size=p) < 0.5))
-        E[:, 0] += 0.3 * rng.standard_normal(p) * (rng.uniform(size=p) < 0.3)
-    return X, E
-
-
-class TestPenalizedQRProperties:
-    """The LAPACK QR with Heath dropping against the Givens reference."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40),
-           st.integers(3, 14), st.floats(0.1, 0.8),
-           st.sampled_from(["exact", "near", "zero", "none"]), st.booleans())
-    @example(0, 3, 3, 0.5, "exact", False)
-    @example(1, 40, 14, 0.1, "zero", True)
-    def test_matches_givens_reference(self, seed, n, p, density, kind,
-                                      with_E):
-        X, E = _collinear_case(seed, n, p, density, kind, with_E)
-        A = X if E is None else np.vstack([X, E.T])
-        if not np.any(A):
-            return
-        f = sla.penalized_qr(sp.csr_array(X),
-                             None if E is None else sp.csc_array(E))
-        R_ref, dropped_ref = givens_penalized_qr(A, f.perm)
-        assert f.dropped == {int(f.perm[j]) for j in dropped_ref}
-        R = f._R
-        assert np.all(np.diag(R) >= 0.0)
-        np.testing.assert_array_equal(R, np.triu(R))
-        K = f._keep
-        G = (A.T @ A)[np.ix_(f.perm, f.perm)][np.ix_(K, K)]
-        Rk = R[np.ix_(K, K)]
-        np.testing.assert_allclose(Rk.T @ Rk, G, rtol=0,
-                                   atol=1e-10 * max(np.abs(G).max(), 1.0))
-        np.testing.assert_allclose(R, R_ref, rtol=0,
-                                   atol=1e-8 * max(np.abs(R_ref).max(), 1.0))
-        if kind != "none" and E is None:
-            assert f.dropped
 
 
 class TestConditionEstimate:

@@ -312,7 +312,8 @@ def poisson_fit(n=300, seed=21):
 
 
 def dropped_column_fit():
-    """QR fit with a smooth of an exact copy of v: one column is dropped."""
+    """Default am fit with a smooth of an exact copy of v: the rank check
+    drops one column."""
     rng = np.random.default_rng(0)
     data = draw_covariates(rng, 300)
     data["v2"] = data["v"].copy()
@@ -321,8 +322,7 @@ def dropped_column_fit():
     covs = ("v", "v2", "x")
     spec = ModelSpec([TermSpec("intercept")]
                      + [TermSpec("smooth", [c], k=8) for c in covs])
-    fit = efs.fit_additive(build_design(spec, data), y,
-                           efs.EFSControl(method="qr"))
+    fit = efs.fit_additive(build_design(spec, data), y)
     assert fit.dropped
     return fit
 
@@ -334,8 +334,10 @@ FITS = {"am": lambda: gaussian_fit(n=250, seed=20)[0],
 
 def loop_refit(fit, lams):
     """One sparse SuperLU refit of the working model per draw, on the
-    retained columns: the per-draw path that the batched refit replaced."""
+    retained columns (the fit's working design): the per-draw path that
+    the batched refit replaced."""
     design = fit._design
+    work = fit.work_design
     keep = np.array([j for j in range(design.N_p) if j not in fit.dropped])
     X = design.X_full
     z, w = fit._y, None
@@ -344,13 +346,11 @@ def loop_refit(fit, lams):
         z, w, _ = pseudo_data(fit._y, mu, fit._link, fit._family)
     wq = np.ones(design.N) if w is None else w
     Xk = sp.csc_array(X[:, keep])
-    A = Xk.T @ Xk.multiply(wq[:, None]) \
-        + design.S_lambda(lams)[keep][:, keep]
+    A = Xk.T @ Xk.multiply(wq[:, None]) + work.S_lambda(lams)
     factor = sparsela.pivoted_cholesky(sp.csc_array(A))
     beta = np.zeros(design.N_p)
     beta[keep] = factor.solve(np.asarray(Xk.T @ (wq * z)))
-    tr_H = np.array([sparsela.trace_inv_form(factor,
-                                             design.D_root(r)[keep, :])
+    tr_H = np.array([sparsela.trace_inv_form(factor, work.D_root(r))
                      for r in range(design.n_lambda)])
     tau = keep.size - float(np.sum(lams * tr_H))
     resid = np.sqrt(wq) * (z - np.asarray(X @ beta))
@@ -358,8 +358,7 @@ def loop_refit(fit, lams):
     llk_work = float(0.5 * np.sum(np.log(wq))
                      - 0.5 * design.N * np.log(2.0 * np.pi * fit.phi)
                      - (float(resid @ resid) + pen) / (2.0 * fit.phi))
-    reml = efs.reml_value(design, factor, lams, llk_work, phi=fit.phi,
-                          n_active=keep.size)
+    reml = efs.reml_value(work, factor, lams, llk_work, phi=fit.phi)
     return beta, tau, reml
 
 
