@@ -93,10 +93,10 @@ class FitState:
     # engine internals (not part of the reported surface)
     _design: object = None
     _factor: object = None
-    _weights: object = None
+    _weights: object = None     # final working weights (None: unit)
+    _z: object = None           # final working response (pseudo-data)
     _family: object = None
     _link: object = None
-    _y: object = None
     _transform: object = None   # orthogonal stabilizer T (sparse) or None
 
     @property
@@ -566,8 +566,8 @@ class _WorkingModel:
                          "factor_nnz": factor.nnz_L(),
                          "penalized_deviance": dev_pen,
                          "work_design": active, "keep": self.keep},
-            _design=design, _factor=factor, _weights=w, _family=self.family,
-            _link=self.link, _y=self.yv)
+            _design=design, _factor=factor, _weights=w, _z=z,
+            _family=self.family, _link=self.link)
 
 
 def _fit_working(design, y, family, link, control, engine):

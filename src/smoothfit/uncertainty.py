@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import sparsela
 from .efs import reml_value
 from .errors import IndefiniteError, SpecError
-from .families import pseudo_data
 
 #: flat-direction thresholds: a coordinate is dropped from the rho
 #: posterior when both its REML gradient and curvature vanish, or when it
@@ -199,10 +198,12 @@ REFIT_CHUNK_BYTES = 1 << 20
 def _refit_draws(fit, lams):
     """(betas, taus, remls) of an am/gam fit refitted at each row of lams.
 
-    The final working Gaussian model (the PQL view) is refitted on the
-    fit's working design, the retained columns ``fit._keep``: X^T W X,
-    X^T W z and the dense S^r are formed once, then each chunk of draws
-    stacks H_i = X^T W X + sum_r lams[i, r] S^r and takes one batched
+    The final working Gaussian model (the PQL view) -- the pseudo-data
+    ``fit._z`` and weights ``fit._weights`` that the fit's own factor and
+    EDF came from -- is refitted on the fit's working design, the retained
+    columns ``fit._keep``: X^T W X, X^T W z and the dense S^r are formed
+    once, then each chunk of draws stacks
+    H_i = X^T W X + sum_r lams[i, r] S^r and takes one batched
     Cholesky factor.  From it come beta_i (dropped entries zero),
     tr(H_i^{-1} S^r), log|H_i|, tau_i and the REML value on the retained
     columns.  A chunk holds REFIT_CHUNK_BYTES of (N_p, N_p) matrices, so
@@ -211,11 +212,7 @@ def _refit_draws(fit, lams):
     design = fit.work_design
     keep = fit._keep
     lams = np.atleast_2d(np.asarray(lams, dtype=float))
-    if fit.engine == "am":
-        z, w = fit._y, None
-    else:
-        mu = fit._link.inverse(np.asarray(fit._design.X_full @ fit.beta))
-        z, w, _ = pseudo_data(fit._y, mu, fit._link, fit._family)
+    z, w = fit._z, fit._weights
     # X stays sparse (random-effect and factor-smooth level columns are
     # block-sparse); only the N_p x N_p normal matrix is dense
     Xk = design.X_full
@@ -479,6 +476,8 @@ def credible_intervals(fit, X_pred, level=0.95, block=512):
     For quasi-Newton fits the posterior covariance is itself approximate,
     so these intervals are indicative rather than calibrated.
     """
+    if not 0.0 < level < 1.0:
+        raise SpecError(f"interval level must lie in (0, 1), got {level!r}")
     X_pred = sp.csc_array(X_pred)
     n = X_pred.shape[0]
     center = np.asarray(X_pred @ fit.beta)
@@ -488,6 +487,6 @@ def credible_intervals(fit, X_pred, level=0.95, block=512):
         stop = min(start + block, n)
         B = np.asarray(X_pred[start:stop, :].todense()).T
         var[start:stop] = scale * np.einsum("ij,ij->j", B, fit.solve_H(B))
-    half = norm.ppf(0.5 + level / 2.0) * np.sqrt(np.maximum(var, 0.0))
+    half = ndtri(0.5 + level / 2.0) * np.sqrt(np.maximum(var, 0.0))
     flags = {"approximate": fit.engine == "lqefs"}
     return center, center - half, center + half, flags

@@ -12,7 +12,7 @@ from smoothfit.design import ModelSpec, TermSpec, build_design
 from smoothfit.errors import NumericError, SpecError
 from smoothfit.families import (CoxphFamily, GamlssFamily, GeneralFamily,
                                 get_family, get_link, pseudo_data)
-from smoothfit.simulate import (draw_covariates, eta_fixed, f_c, gen_hazard,
+from smoothfit.simulate import (draw_covariates, eta_fixed, gen_hazard,
                                 spec_fixed, to_unit)
 
 

@@ -1,8 +1,12 @@
-"""Source hygiene: every name a module imports is used in it, and every
-field of a control dataclass is set by some call."""
+"""Source hygiene: every name a module or test file imports is used in
+it, every field of a control dataclass is set by some call, and importing
+the package loads no scipy subpackage that the numerics do not call."""
 
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ from smoothfit.lqefs import LqefsControl
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "smoothfit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 #: every Python file that may construct a control object
 CALLERS = sorted(p for d in ("src", "tests", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
@@ -41,9 +46,26 @@ def test_scanner_flags_unused_names():
     assert unused_imports(source) == ["dumps", "os", "tau"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: scipy subpackages that no smoothfit module calls; ``scipy.stats`` alone
+#: costs about 0.45 s and 19 MB per process and pulls in the other two
+UNUSED_SCIPY = ("scipy.stats", "scipy.ndimage", "scipy.integrate")
+
+
+def test_import_loads_only_the_scipy_the_numerics_call():
+    # a fresh interpreter: every CLI call pays the package import
+    path = filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import sys, smoothfit, smoothfit.cli\n"
+            "print(*(m for m in sys.argv[1:] if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, *UNUSED_SCIPY],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=120)
+    assert out.stdout.split() == []
 
 
 def keywords_passed(source, callee):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothfit import lqefs
 from smoothfit.design import ModelSpec, TermSpec, build_design
@@ -166,6 +168,34 @@ class TestCompactReps:
             np.testing.assert_allclose(rep.matvec(s_new), nu_new,
                                        atol=1e-8 *
                                        max(np.abs(nu_new).max(), 1.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(ORACLES)),
+           st.integers(1, 30), st.integers(1, 8), st.integers(1, 12),
+           st.booleans())
+    def test_random_sequences_match_dense(self, seed, kind, n_p, n_v,
+                                          n_pairs, curved):
+        # any window of admitted pairs, on its own base, is the dense
+        # recursion over those pairs; unflipped BFGS pairs violate the
+        # curvature condition about half the time and must be skipped
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(n_pairs):
+            s = rng.standard_normal(n_p)
+            nu = rng.standard_normal(n_p)
+            if curved and s @ nu < 0:
+                nu = -nu
+            pairs.append((s, nu))
+        rep, kept = push_sequence(kind, pairs, n_p, n_v)
+        admitted = n_pairs - rep.skipped
+        assert rep.m == len(kept) == min(admitted, n_v)
+        if kept:
+            np.testing.assert_array_equal(rep.S, np.column_stack(
+                [s for s, _ in kept]))
+            np.testing.assert_array_equal(rep.Y, np.column_stack(
+                [nu for _, nu in kept]))
+        ref = ORACLES[kind](kept, rep.gamma_eff, n_p)
+        assert np.abs(rep.dense() - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
 class TestImplicitNearestPsd:

@@ -9,8 +9,8 @@ import sympy
 
 from smoothfit import efs, sparsela, uncertainty as unc
 from smoothfit.design import ModelSpec, TermSpec, build_design
-from smoothfit.errors import IndefiniteError
-from smoothfit.families import Poisson, pseudo_data
+from smoothfit.errors import IndefiniteError, SpecError
+from smoothfit.families import Poisson
 from smoothfit.simulate import draw_covariates, eta_fixed, to_unit
 
 
@@ -267,6 +267,36 @@ class TestPosteriorUtilities:
         np.testing.assert_allclose((hi - lo) / 2, ref_half, atol=1e-8)
         assert not flags["approximate"]
 
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    def test_half_width_is_the_normal_quantile(self, level):
+        # unit and 4 x unit variances: half / sqrt(var) is exact in floats
+        from scipy.stats import norm
+
+        class UnitFit:
+            beta = np.zeros(2)
+            engine = "am"
+
+            def covariance_scale(self):
+                return 1.0
+
+            def solve_H(self, B):
+                return B
+
+        Xp = sp.csc_array(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        center, lo, hi, _ = unc.credible_intervals(UnitFit(), Xp, level=level)
+        z = norm.ppf(0.5 + level / 2.0)
+        np.testing.assert_array_equal(center, 0.0)
+        np.testing.assert_array_equal(hi / np.array([1.0, 2.0]), z)
+        np.testing.assert_array_equal(lo, -hi)
+
+    @pytest.mark.parametrize("level", [1.5, 1.0, -0.2, 0.0, float("nan")])
+    def test_level_outside_unit_interval_rejected(self, level):
+        # unchecked, 1.5 gave NaN bounds, 1.0 infinite ones and -0.2 lo > hi
+        fit, d, _, data = gaussian_fit(seed=18)
+        Xp = d.build_rows({k: v[:5] for k, v in data.items()})
+        with pytest.raises(SpecError, match="level"):
+            unc.credible_intervals(fit, Xp, level=level)
+
     def test_zero_variance_direction(self):
         # a prediction row orthogonal to every coefficient has zero width
         fit, d, y, _ = gaussian_fit(seed=19)
@@ -340,10 +370,7 @@ def loop_refit(fit, lams):
     work = fit.work_design
     keep = np.array([j for j in range(design.N_p) if j not in fit.dropped])
     X = design.X_full
-    z, w = fit._y, None
-    if fit.engine == "gam":
-        mu = fit._link.inverse(np.asarray(X @ fit.beta))
-        z, w, _ = pseudo_data(fit._y, mu, fit._link, fit._family)
+    z, w = fit._z, fit._weights
     wq = np.ones(design.N) if w is None else w
     Xk = sp.csc_array(X[:, keep])
     A = Xk.T @ Xk.multiply(wq[:, None]) + work.S_lambda(lams)
@@ -433,7 +460,7 @@ class TestBatchedRefit:
         assert_rel(remls, ref_r)
         assert np.all(betas[:, sorted(mc_fit.dropped)] == 0.0)
 
-    @pytest.mark.parametrize("name", ["am", "dropped_column"])
+    @pytest.mark.parametrize("name", sorted(FITS))
     def test_refit_at_estimate_reproduces_fit(self, name):
         fit = FITS[name]()
         beta, tau, reml = unc._conditional_refit(fit, fit._design, fit.lam)
